@@ -1,14 +1,13 @@
-// BATCH1: the batched/parallel/incremental PD-implication service layer
-// (core/implication.h) against the single-thread cold-closure baseline.
-// Four comparisons, all on the RandomTheory/RandomQueries workload family
-// from workloads.h:
+// BATCH1: the batched/incremental PD-implication service layer
+// (core/implication.h) against the cold-closure baseline. Four
+// comparisons, all on the RandomTheory/RandomQueries workload family from
+// workloads.h:
 //
 //   * BM_ColdPerQuery      — the baseline: one fresh engine per query, so
 //                            every query pays a full cold closure.
-//   * BM_BatchImplies/T    — one engine, whole query span, T workers:
-//                            batching amortizes the closure, the banded
-//                            sweep parallelizes it.
-//   * BM_ClosureOnly/T     — thread scaling of the closure sweep alone.
+//   * BM_BatchImplies      — one engine, whole query span: batching
+//                            amortizes the closure.
+//   * BM_ClosureOnly       — the closure sweep alone.
 //   * BM_IncrementalStream — queries arriving one at a time against one
 //     vs BM_ColdStream       engine (warm re-close of the dirty frontier)
 //                            vs a fresh engine per query.
@@ -59,16 +58,15 @@ void BM_ColdPerQuery(benchmark::State& state) {
 BENCHMARK(BM_ColdPerQuery);
 
 // One engine answers the whole batch: a single shared closure, LRU-cached
-// verdicts, T-way banded sweeps. Engine construction is inside the timed
+// verdicts. Engine construction is inside the timed
 // region so the comparison against BM_ColdPerQuery is end-to-end.
 void BM_BatchImplies(benchmark::State& state) {
   ExprArena arena;
   std::vector<Pd> theory, queries;
   SetupWorkload(&arena, &theory, &queries);
-  EngineOptions options{.num_threads = static_cast<std::size_t>(state.range(0))};
   std::size_t vertices = 0;
   for (auto _ : state) {
-    PdImplicationEngine engine(&arena, theory, options);
+    PdImplicationEngine engine(&arena, theory);
     std::vector<bool> verdicts = engine.BatchImplies(queries);
     benchmark::DoNotOptimize(verdicts);
     vertices = engine.stats().num_vertices;
@@ -77,10 +75,10 @@ void BM_BatchImplies(benchmark::State& state) {
                           static_cast<int64_t>(queries.size()));
   state.counters["V_batch"] = static_cast<double>(vertices);
 }
-BENCHMARK(BM_BatchImplies)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_BatchImplies)->UseRealTime();
 
-// The closure sweep alone (Prepare over every batch subexpression), for
-// the thread-scaling curve without query-answering overhead.
+// The closure sweep alone (Prepare over every batch subexpression),
+// without query-answering overhead.
 void BM_ClosureOnly(benchmark::State& state) {
   ExprArena arena;
   std::vector<Pd> theory, queries;
@@ -90,17 +88,16 @@ void BM_ClosureOnly(benchmark::State& state) {
     roots.push_back(q.lhs);
     roots.push_back(q.rhs);
   }
-  EngineOptions options{.num_threads = static_cast<std::size_t>(state.range(0))};
   std::size_t passes = 0;
   for (auto _ : state) {
-    PdImplicationEngine engine(&arena, theory, options);
+    PdImplicationEngine engine(&arena, theory);
     engine.Prepare(roots);
     benchmark::DoNotOptimize(engine.stats().num_arcs);
     passes = engine.stats().passes;
   }
   state.counters["passes"] = static_cast<double>(passes);
 }
-BENCHMARK(BM_ClosureOnly)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_ClosureOnly)->UseRealTime();
 
 // Query stream, one engine: each query with fresh subexpressions extends
 // V and re-closes only the dirty frontier (warm start).

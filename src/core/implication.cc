@@ -1,7 +1,6 @@
 #include "core/implication.h"
 
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <optional>
@@ -34,19 +33,6 @@ PdImplicationEngine::PdImplicationEngine(const ExprArena* arena,
                                          std::vector<Pd> constraints,
                                          EngineOptions options)
     : arena_(arena), constraints_(std::move(constraints)), options_(options) {
-  if (options_.num_threads > 1) {
-    // Graceful degradation: a failed pool spawn (thread exhaustion in the
-    // environment, or the psem.threadpool.spawn fail point) downgrades to
-    // the serial sweep instead of propagating an exception. Verdicts are
-    // identical either way; the downgrade is recorded in stats().
-    auto pool = ThreadPool::Create(options_.num_threads);
-    if (pool.ok()) {
-      pool_ = std::move(pool).value();
-    } else {
-      stats_.degraded_to_serial = true;
-      stats_.degradation_reason = pool.status().message();
-    }
-  }
   for (const Pd& pd : constraints_) {
     AddVertex(pd.lhs);
     AddVertex(pd.rhs);
@@ -138,16 +124,16 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
     for (std::size_t i = 0; i < old_n; ++i) {
       up_[i].Resize(n);
       delta_up_[i].Resize(n);
-      if (!pool_) down_[i].Resize(n);
+      down_[i].Resize(n);
     }
     up_.resize(n);
     delta_up_.resize(n);
-    if (!pool_) down_.resize(n);
+    down_.resize(n);
     dirty_rows_.Resize(n);
     for (std::size_t i = old_n; i < n; ++i) {
       up_[i] = DynamicBitset(n);
       delta_up_[i] = DynamicBitset(n);
-      if (!pool_) down_[i] = DynamicBitset(n);
+      down_[i] = DynamicBitset(n);
       TrySetArc(static_cast<uint32_t>(i), static_cast<uint32_t>(i));
     }
     if (old_n == 0) {
@@ -179,29 +165,19 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
           arc_count_ += added;
           dirty_rows_.Set(mi);
         }
-        if (!pool_) {
-          // Column side via the incrementally maintained predecessor
-          // index: every consumed arc into a child lifts to the parent.
-          if (kind_[m] == ExprKind::kSum) {
-            down_[l].ForEach([&](std::size_t s) {
-              TrySetArc(static_cast<uint32_t>(s), mi);
-            });
-            down_[r].ForEach([&](std::size_t s) {
-              TrySetArc(static_cast<uint32_t>(s), mi);
-            });
-          } else {
-            down_[l].ForEach([&](std::size_t s) {
-              if (up_[s].Test(r)) TrySetArc(static_cast<uint32_t>(s), mi);
-            });
-          }
+        // Column side via the incrementally maintained predecessor
+        // index: every consumed arc into a child lifts to the parent.
+        if (kind_[m] == ExprKind::kSum) {
+          down_[l].ForEach([&](std::size_t s) {
+            TrySetArc(static_cast<uint32_t>(s), mi);
+          });
+          down_[r].ForEach([&](std::size_t s) {
+            TrySetArc(static_cast<uint32_t>(s), mi);
+          });
         } else {
-          // The parallel engine keeps no down_; scan the rows instead.
-          for (std::size_t s = 0; s < n; ++s) {
-            bool lifts = kind_[m] == ExprKind::kSum
-                             ? (up_[s].Test(l) || up_[s].Test(r))
-                             : (up_[s].Test(l) && up_[s].Test(r));
-            if (lifts) TrySetArc(static_cast<uint32_t>(s), mi);
-          }
+          down_[l].ForEach([&](std::size_t s) {
+            if (up_[s].Test(r)) TrySetArc(static_cast<uint32_t>(s), mi);
+          });
         }
       }
       ++stats_.incremental_closures;
@@ -231,7 +207,7 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
   stats_.passes = 0;
   stats_.sparse_rounds = 0;
   stats_.dense_rounds = 0;
-  Status st = pool_ ? DeltaFixpointParallel(ctx) : DeltaFixpointSerial(ctx);
+  Status st = DeltaFixpointSerial(ctx);
   if (st.ok() && stats_.passes == 0) {
     // Nothing was dirty (e.g. an already-quiescent warm start): record
     // the trivial confirming round so trajectory stats stay populated.
@@ -244,7 +220,6 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
   // comes straight from the running counter; it is exact even mid-abort.
   stats_.num_vertices = n;
   stats_.num_arcs = arc_count_;
-  stats_.num_threads = pool_ ? pool_->num_threads() : 1;
   stats_.closure_seconds += SecondsSince(closure_start);
 
   if (!st.ok()) {
@@ -611,204 +586,6 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
   return Status::OK();
 }
 
-// Banded Jacobi delta fixpoint. Per round, the driver freezes the
-// frontier (swap delta_up_ -> carry_) and a mask of which rows own a
-// nonempty carry; then one ParallelFor over destination rows p, each
-// worker writing only its own band of up_/delta_up_ rows and reading
-// only frozen state: carry_, the dirty mask, and prev_up_ — a mirror of
-// up_ as of the last round boundary (so carry_[p] ⊆ prev_up_[p] for
-// every p). Each destination row pulls every rule whose conclusion
-// lands in it:
-//   rule 7, Δ left   — for j in carry_[p]:  up_[p] |= prev_up_[j];
-//   rule 7, Δ right  — for j in (up_[p] \ carry_[p]) ∩ dirty:
-//                      up_[p] |= carry_[j]  (only the delta-width carry,
-//                      the rest of row j already arrived in some earlier
-//                      round);
-//   rules 3/2        — composite p pulls carry_[child] (product) or
-//                      carry_[l] ∩ prev_up_[r] + carry_[r] ∩ prev_up_[l]
-//                      (sum; prev includes both carries, so a premise
-//                      pair split across the two frontiers still meets);
-//   rules 5/4        — for j in carry_[p], each parent (m, o) of j turns
-//                      on bit m (sum always, product when (p, o) holds).
-// New bits go to the worker's own delta_up_[p] and a worker-local dirty
-// set; the driver merges dirty sets and arc counts after the barrier,
-// then resyncs prev_up_ — copying only rows that changed this round —
-// and clears the consumed carries. Monotone rules + "every frontier bit
-// is eventually consumed" gives the same least fixpoint as the serial
-// engine; the structural argument is spelled out in
-// docs/architecture.md. down_ is not maintained here (nothing reads it
-// in pool mode).
-Status PdImplicationEngine::DeltaFixpointParallel(const ExecContext& ctx) {
-  const std::size_t n = vertices_.size();
-  const bool governed = !ctx.unbounded();
-  const std::size_t num_workers = pool_->num_threads();
-
-  // Bring the mirror and carries up to size and establish the round-
-  // boundary invariant prev_up_ == up_ (rows [0, old prev size) may be
-  // stale from before a vertex batch, new rows are fresh).
-  auto transpose_start = SteadyClock::now();
-  if (prev_up_.size() < n) prev_up_.resize(n);
-  if (carry_.size() < n) carry_.resize(n);
-  pool_->ParallelFor(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      prev_up_[i] = up_[i];
-      if (carry_[i].size() != n) carry_[i] = DynamicBitset(n);
-    }
-  });
-  stats_.transpose_seconds += SecondsSince(transpose_start);
-
-  std::vector<uint32_t> worklist;
-  DynamicBitset dirty_mask(n);
-  std::vector<DynamicBitset> worker_dirty(num_workers, DynamicBitset(n));
-  std::vector<std::size_t> worker_added(num_workers, 0);
-  std::vector<DynamicBitset> worker_cand(num_workers, DynamicBitset(n));
-  // Cooperative abort: any band that observes a tripped context sets the
-  // flag; bands poll it per row and bail, and the driver surfaces the
-  // Status after the barrier (restoring the frozen frontier first).
-  std::atomic<bool> aborted{false};
-  auto band_check = [&](std::size_t i) {
-    if (aborted.load(std::memory_order_relaxed)) return true;
-    if ((i % kCheckStride) == 0 &&
-        (ctx.cancelled() || ctx.deadline_expired())) {
-      aborted.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
-
-  while (dirty_rows_.Any()) {
-    ++stats_.passes;
-    ++stats_.sparse_rounds;  // single-mode: banded rounds count as sparse
-    if (PSEM_FAILPOINT(failpoints::kAlgSweep)) {
-      return Status::Internal("injected closure-sweep fault (psem.alg.sweep)");
-    }
-    if (governed) {
-      PSEM_RETURN_IF_ERROR(ctx.Check());
-      PSEM_RETURN_IF_ERROR(ctx.CheckArcs(arc_count_));
-    }
-    const std::size_t round_start_arcs = arc_count_;
-
-    // Freeze the frontier (driver only; no worker is running here).
-    worklist.clear();
-    dirty_rows_.ForEach(
-        [&](std::size_t i) { worklist.push_back(static_cast<uint32_t>(i)); });
-    dirty_mask = dirty_rows_;
-    for (uint32_t i : worklist) std::swap(carry_[i], delta_up_[i]);
-    dirty_rows_.Clear();
-
-    // Banded pull sweep over destination rows.
-    auto rules_start = SteadyClock::now();
-    pool_->ParallelFor(n, [&](std::size_t band, std::size_t lo,
-                              std::size_t hi) {
-      worker_added[band] = 0;
-      worker_dirty[band].Clear();
-      DynamicBitset& cand = worker_cand[band];
-      for (std::size_t p = lo; p < hi; ++p) {
-        if (governed && band_check(p)) break;
-        const bool p_dirty = dirty_mask.Test(p);
-        std::size_t added = 0;
-        // Rule 7, delta on the left: consume row p's own carry.
-        if (p_dirty) {
-          for (std::size_t j = carry_[p].NextSetBit(0); j < n;
-               j = carry_[p].NextSetBit(j + 1)) {
-            if (j != p) {
-              added += up_[p].OrInPlaceCountNew(prev_up_[j], &delta_up_[p]);
-            }
-          }
-        }
-        // Rule 7, delta on the right: arcs (p, j) consumed in earlier
-        // rounds meet row j's fresh carry. up_ \ carry_ excludes p's own
-        // frontier (those j were fully joined via prev_up_ above).
-        if (p_dirty) {
-          cand.AndNot(up_[p], carry_[p]);
-        } else {
-          cand = up_[p];
-        }
-        cand.IntersectWith(dirty_mask);
-        for (std::size_t j = cand.NextSetBit(0); j < n;
-             j = cand.NextSetBit(j + 1)) {
-          if (j != p) {
-            added += up_[p].OrInPlaceCountNew(carry_[j], &delta_up_[p]);
-          }
-        }
-        // Rules 3/2: composite p pulls its children's carries.
-        if (lhs_[p] != kNoVertex) {
-          const uint32_t l = lhs_[p], r = rhs_[p];
-          if (kind_[p] == ExprKind::kProduct) {
-            if (dirty_mask.Test(l)) {
-              added += up_[p].OrInPlaceCountNew(carry_[l], &delta_up_[p]);
-            }
-            if (r != l && dirty_mask.Test(r)) {
-              added += up_[p].OrInPlaceCountNew(carry_[r], &delta_up_[p]);
-            }
-          } else {  // sum: carry ⊆ prev_up_, so the two terms cover all
-                    // premise pairs with at least one fresh side
-            if (dirty_mask.Test(l)) {
-              added += up_[p].OrAndInPlaceCountNew(carry_[l], prev_up_[r],
-                                                   &delta_up_[p]);
-            }
-            if (r != l && dirty_mask.Test(r)) {
-              added += up_[p].OrAndInPlaceCountNew(carry_[r], prev_up_[l],
-                                                   &delta_up_[p]);
-            }
-          }
-        }
-        // Rules 5/4: each fresh arc (p, j) probes j's parents.
-        if (p_dirty) {
-          for (std::size_t j = carry_[p].NextSetBit(0); j < n;
-               j = carry_[p].NextSetBit(j + 1)) {
-            for (const auto& [m, o] : parents_[j]) {
-              if ((kind_[m] == ExprKind::kSum || up_[p].Test(o)) &&
-                  !up_[p].Test(m)) {
-                up_[p].Set(m);
-                delta_up_[p].Set(m);
-                ++added;
-              }
-            }
-          }
-        }
-        if (added) {
-          worker_added[band] += added;
-          worker_dirty[band].Set(p);
-        }
-      }
-    });
-    stats_.rules_seconds += SecondsSince(rules_start);
-
-    // Merge worker results (driver only).
-    for (std::size_t w = 0; w < num_workers; ++w) {
-      arc_count_ += worker_added[w];
-      dirty_rows_.UnionWith(worker_dirty[w]);
-    }
-    if (governed && aborted.load(std::memory_order_relaxed)) {
-      // Restore the frozen frontier so the resume re-runs this round.
-      // Partial writes are sound (monotone, justified by frozen state)
-      // and the re-run is idempotent arc-count-wise.
-      for (uint32_t i : worklist) {
-        delta_up_[i].UnionWith(carry_[i]);
-        carry_[i].Clear();
-        dirty_rows_.Set(i);
-      }
-      aborted.store(false, std::memory_order_relaxed);
-      return ctx.Check();
-    }
-
-    // Resync prev_up_ for changed rows only and retire the carries.
-    transpose_start = SteadyClock::now();
-    pool_->ParallelFor(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
-      for (std::size_t p = lo; p < hi; ++p) {
-        if (dirty_rows_.Test(p)) prev_up_[p] = up_[p];
-        if (dirty_mask.Test(p)) carry_[p].Clear();
-      }
-    });
-    stats_.transpose_seconds += SecondsSince(transpose_start);
-
-    stats_.pass_arc_delta.push_back(arc_count_ - round_start_arcs);
-    if (governed) PSEM_RETURN_IF_ERROR(ctx.CheckArcs(arc_count_));
-  }
-  return Status::OK();
-}
-
 void PdImplicationEngine::Prepare(const std::vector<ExprId>& exprs) {
   for (ExprId e : exprs) AddVertex(e);
   if (!closure_valid_) {
@@ -837,10 +614,15 @@ Status PdImplicationEngine::Prepare(const std::vector<ExprId>& exprs,
   return Status::OK();
 }
 
-void PdImplicationEngine::AddConstraint(const Pd& pd) {
+bool PdImplicationEngine::HasConstraint(const Pd& pd) const {
   for (const Pd& existing : constraints_) {
-    if (existing == pd) return;
+    if (existing == pd) return true;
   }
+  return false;
+}
+
+void PdImplicationEngine::AddConstraint(const Pd& pd) {
+  if (HasConstraint(pd)) return;
   AddVertex(pd.lhs);
   AddVertex(pd.rhs);
   constraints_.push_back(pd);
@@ -854,9 +636,7 @@ void PdImplicationEngine::AddConstraint(const Pd& pd) {
 
 Status PdImplicationEngine::AddConstraint(const Pd& pd,
                                           const ExecContext& ctx) {
-  for (const Pd& existing : constraints_) {
-    if (existing == pd) return Status::OK();
-  }
+  if (HasConstraint(pd)) return Status::OK();
   if (ctx.max_vertices() != 0) {
     std::set<ExprId> seen;
     std::size_t added = CountNewVertices(pd.lhs, &seen) +
@@ -926,21 +706,16 @@ Status PdImplicationEngine::RestoreClosureState(EngineClosureState state) {
   seeded_vertices_ = m;
   pending_constraints_ = std::move(state.pending_constraints);
   // Rebuild the derived structures. dirty = rows with a nonempty
-  // frontier; down = transpose of the consumed arcs (up & ~delta),
-  // serial engines only.
+  // frontier; down = transpose of the consumed arcs (up & ~delta).
   dirty_rows_ = DynamicBitset(m);
   for (std::size_t i = 0; i < m; ++i) {
     if (delta_up_[i].Any()) dirty_rows_.Set(i);
   }
-  if (!pool_) {
-    down_.assign(m, DynamicBitset(m));
-    DynamicBitset consumed(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      consumed.AndNot(up_[i], delta_up_[i]);
-      consumed.ForEach([&](std::size_t j) { down_[j].Set(i); });
-    }
-  } else {
-    down_.clear();
+  down_.assign(m, DynamicBitset(m));
+  DynamicBitset consumed(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    consumed.AndNot(up_[i], delta_up_[i]);
+    consumed.ForEach([&](std::size_t j) { down_[j].Set(i); });
   }
   // Vertices beyond the seeded prefix (if the caller Prepared extra
   // expressions before restoring) re-seed at the next closure.

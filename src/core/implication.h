@@ -1,5 +1,5 @@
 /// @file implication.h
-/// @brief Algorithm ALG: PD implication as arc-digraph closure (Section 5.2), with parallel, incremental, and batched service layers.
+/// @brief Algorithm ALG: PD implication as arc-digraph closure (Section 5.2), with incremental and batched service layers.
 
 // PD implication — the uniform word problem for lattices (Section 5).
 //
@@ -22,17 +22,9 @@
 // deltas instead of per-pass transpose rebuilds, and an exact running arc
 // counter replaces per-pass full-matrix count scans. When the frontier
 // saturates, the serial engine switches to a cache-blocked 64-row-tile
-// kernel for the dense endgame. Service-layer extensions on top (see
-// docs/architecture.md for the full correctness arguments):
-//
-//  * Parallel closure. With EngineOptions::num_threads > 1 the delta
-//    rounds run Jacobi-style: each worker owns a contiguous band of
-//    Gamma's bitset rows, consumes the round's frozen frontier against a
-//    persistent row mirror (re-synced only for rows that changed), and
-//    writes only its own rows; rounds are separated by a ThreadPool
-//    barrier. Because the seven rules are monotone (arcs are only ever
-//    added) and every write is justified by mirrored/frozen arcs, the
-//    parallel loop converges to the same least fixpoint as the serial one.
+// kernel for the dense endgame. This one serial engine is the only
+// closure path; the engine starts no threads. Service-layer extensions on
+// top (see docs/architecture.md for the full correctness arguments):
 //
 //  * Incremental closure. Lemma 9.2 identifies "arc (e, e') in the closed
 //    Gamma" with the V-independent relation E |= e <= e'; hence arcs
@@ -59,7 +51,6 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -69,7 +60,6 @@
 #include "util/bitset.h"
 #include "util/exec_context.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace psem {
 
@@ -84,7 +74,7 @@ struct AlgStats {
 
   /// Rounds of the last closure served by each kernel of the semi-naive
   /// sweep: the per-row worklist (sparse) vs the blocked 64-row tile
-  /// kernel (dense). The parallel banded sweep counts as sparse.
+  /// kernel (dense).
   std::size_t sparse_rounds = 0;
   std::size_t dense_rounds = 0;
 
@@ -99,14 +89,6 @@ struct AlgStats {
 
   std::size_t cache_lookups = 0;  ///< LRU probes.
   std::size_t cache_hits = 0;     ///< LRU probes answered.
-
-  std::size_t num_threads = 1;  ///< workers used by the closure sweeps.
-
-  /// True when EngineOptions requested a parallel pool but thread
-  /// creation failed (real or injected) and the engine fell back to the
-  /// serial sweep. Verdicts are unaffected; only throughput degrades.
-  bool degraded_to_serial = false;
-  std::string degradation_reason;  ///< why the downgrade happened.
 
   /// Closures stopped early by a deadline, cancellation, budget, or
   /// injected fault. The partial arc matrix is kept as a sound warm
@@ -123,13 +105,10 @@ struct AlgStats {
 
 /// Tuning knobs for PdImplicationEngine.
 struct EngineOptions {
-  /// Workers for the closure fixpoint. 1 (default) keeps the serial
-  /// Gauss-Seidel sweep; >1 switches to the banded Jacobi sweep.
-  std::size_t num_threads = 1;
   /// Capacity of the LRU query cache ((ExprId, ExprId) -> bool).
   /// 0 disables caching.
   std::size_t cache_capacity = 1024;
-  /// Serial-mode sparse->dense switch: a delta round runs the blocked
+  /// Sparse->dense switch: a delta round runs the blocked
   /// dense kernel when at least `dense_min_rows` rows are dirty AND the
   /// pending frontier averages at least |V|/`dense_inv_density` arcs per
   /// dirty row. The defaults keep chain-like closures (tiny per-row
@@ -145,10 +124,6 @@ struct EngineOptions {
 class PdImplicationEngine {
  public:
   /// The engine keeps a pointer to `arena`; it must outlive the engine.
-  /// If options request a parallel pool and thread creation fails, the
-  /// engine degrades to the serial sweep and records the downgrade in
-  /// stats() (degraded_to_serial / degradation_reason) — construction
-  /// itself never fails.
   PdImplicationEngine(const ExprArena* arena, std::vector<Pd> constraints,
                       EngineOptions options = {});
 
@@ -195,6 +170,10 @@ class PdImplicationEngine {
   /// a FIXED E — a larger E can flip "not implied" to "implied".
   /// Idempotent: re-adding a constraint already in E is a no-op.
   void AddConstraint(const Pd& pd);
+  /// True iff `pd` is already in E (structural equality of interned ids).
+  /// The one dedupe test behind AddConstraint, DurablePdEngine::AddPd and
+  /// journal replay.
+  bool HasConstraint(const Pd& pd) const;
   /// Governed variant: enforces ctx's vertex budget before mutating V.
   Status AddConstraint(const Pd& pd, const ExecContext& ctx);
 
@@ -273,20 +252,16 @@ class PdImplicationEngine {
   // Semi-naive delta fixpoint (rules 2-5 and 7): every round consumes the
   // per-row new-arc frontier (delta_up_) of the rows on the worklist and
   // derives only from those deltas; an arc is consumed exactly once over
-  // the whole closure. The serial driver picks per round between the
-  // sparse worklist kernel and the blocked 64-row-tile dense kernel on
-  // measured frontier density; the parallel driver runs banded delta
-  // rounds over a persistent row mirror (prev_up_) that is re-synced only
-  // for rows whose frontier changed. See docs/architecture.md.
+  // the whole closure. The driver picks per round between the sparse
+  // worklist kernel and the blocked 64-row-tile dense kernel on measured
+  // frontier density. See docs/architecture.md.
   Status DeltaFixpointSerial(const ExecContext& ctx);
-  Status DeltaFixpointParallel(const ExecContext& ctx);
   Status SparseRound(const std::vector<uint32_t>& worklist,
                      const ExecContext& ctx, std::size_t* consumed_strider);
   Status DenseRound(const std::vector<uint32_t>& worklist,
                     const ExecContext& ctx);
   // Adds arc (i, m) unless present: sets the up_ bit, flags it
-  // unconsumed in delta_up_, and bumps the exact arc counter. Serial
-  // paths only (writes the shared dirty-row set).
+  // unconsumed in delta_up_, and bumps the exact arc counter.
   void TrySetArc(uint32_t i, uint32_t m);
 
   // LRU query cache over packed (e1, e2) keys. Verdicts stay valid across
@@ -305,7 +280,6 @@ class PdImplicationEngine {
   // phase. Survives aborted closures that stop before seeding.
   std::vector<Pd> pending_constraints_;
   EngineOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // created iff num_threads > 1
 
   std::vector<ExprId> vertices_;                    // index -> ExprId
   std::unordered_map<ExprId, uint32_t> vertex_of_;  // ExprId -> index
@@ -324,8 +298,7 @@ class PdImplicationEngine {
   // Column view: down_[j] bit i set <=> arc (i, j) *consumed*. Maintained
   // incrementally — down_[j] gains bit i at the moment the delta bit
   // (i, j) is consumed, never by a full transpose rebuild — and serves as
-  // the predecessor index for backward transitivity. Serial engines only;
-  // the parallel sweep replaces it with dirty-mask row scans.
+  // the predecessor index for backward transitivity.
   std::vector<DynamicBitset> down_;
   // Semi-naive frontier: delta_up_[i] holds the arcs of row i not yet
   // propagated (always a subset of up_[i]); dirty_rows_ flags rows with a
@@ -333,10 +306,9 @@ class PdImplicationEngine {
   // closures resume without reseeding.
   std::vector<DynamicBitset> delta_up_;
   DynamicBitset dirty_rows_;
-  // Per-round frozen frontier (dense + parallel rounds) and the parallel
-  // sweep's persistent row mirror (re-synced only for changed rows).
+  // Per-round frozen frontier of a dense round: DenseRound swaps each
+  // worklist row's delta_up_ in here, consumes it, and clears it.
   std::vector<DynamicBitset> carry_;
-  std::vector<DynamicBitset> prev_up_;
   // Exact running arc count: bumped once per up_ bit transition by the
   // OrInPlaceCountNew kernels and TrySetArc; replaces the per-pass
   // full-matrix count scans. Stays exact across aborted closures.

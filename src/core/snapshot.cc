@@ -395,9 +395,10 @@ Result<DurablePdEngine> DurablePdEngine::Recover(ExprArena* arena,
                                                       d.options_.engine);
   }
 
-  // Replay the journal through the incremental path. AddConstraint
-  // dedupes, so records the snapshot already covers are no-ops — which
-  // is what lets the journal stay cumulative across checkpoints.
+  // Replay the journal through the incremental path. Records E already
+  // holds (HasConstraint) are skipped, so records the snapshot covers are
+  // no-ops — which is what lets the journal stay cumulative across
+  // checkpoints.
   if (d.journal_.has_value()) {
     for (const std::string& record : d.journal_->recovered().records) {
       auto pd = arena->ParsePd(record);
@@ -405,14 +406,7 @@ Result<DurablePdEngine> DurablePdEngine::Recover(ExprArena* arena,
         return Status::DataLoss("journal record does not parse: " +
                                 pd.status().ToString());
       }
-      bool known = false;
-      for (const Pd& c : d.engine_->constraints()) {
-        if (c == *pd) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
+      if (!d.engine_->HasConstraint(*pd)) {
         PSEM_RETURN_IF_ERROR(d.engine_->AddConstraint(*pd, ctx));
         ++d.recovery_.journal_replayed_new;
       }
@@ -432,9 +426,7 @@ Result<DurablePdEngine> DurablePdEngine::Recover(ExprArena* arena,
 }
 
 Status DurablePdEngine::AddPd(const Pd& pd, const ExecContext& ctx) {
-  for (const Pd& c : engine_->constraints()) {
-    if (c == pd) return Status::OK();
-  }
+  if (engine_->HasConstraint(pd)) return Status::OK();
   PSEM_RETURN_IF_ERROR(ctx.Check());
   // Write-ahead discipline: the journal record is durable BEFORE the
   // constraint takes effect. A crash after Append but before the engine

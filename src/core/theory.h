@@ -40,10 +40,11 @@ class PdTheory {
   ExprArena& arena() { return *arena_; }
   const ExprArena& arena() const { return *arena_; }
 
-  /// Adds a PD; invalidates the cached engine.
+  /// Adds a PD. A live engine grows in place (AddConstraint warm-starts
+  /// the next closure from the current one) instead of being rebuilt.
   void Add(const Pd& pd) {
     pds_.push_back(pd);
-    engine_.reset();
+    if (engine_) engine_->AddConstraint(pd);
   }
 
   /// Parses and adds "e = e'" or "e <= e'" (see ExprArena::ParsePd).
@@ -51,7 +52,7 @@ class PdTheory {
 
   const std::vector<Pd>& pds() const { return pds_; }
 
-  /// Engine tuning (closure parallelism, query-cache size). Takes effect
+  /// Engine tuning (query-cache size, sparse/dense switch). Takes effect
   /// on the next engine (re)build; call before the first query for full
   /// effect.
   void SetEngineOptions(const EngineOptions& options) {

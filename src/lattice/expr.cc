@@ -213,31 +213,32 @@ Result<Pd> ExprArena::ParsePd(std::string_view text) {
   return Pd{lhs, rhs, is_equation};
 }
 
-void ExprArena::ToStringRec(ExprId id, bool parenthesize_sum,
+void ExprArena::ToStringRec(ExprId id, bool parenthesize,
                             std::string* out) const {
   const Node& n = nodes_[id];
-  switch (n.kind) {
-    case ExprKind::kAttr:
-      *out += attr_names_.NameOf(n.attr);
-      return;
-    case ExprKind::kProduct:
-      ToStringRec(n.lhs, /*parenthesize_sum=*/true, out);
-      *out += "*";
-      ToStringRec(n.rhs, /*parenthesize_sum=*/true, out);
-      return;
-    case ExprKind::kSum:
-      if (parenthesize_sum) *out += "(";
-      ToStringRec(n.lhs, /*parenthesize_sum=*/false, out);
-      *out += "+";
-      ToStringRec(n.rhs, /*parenthesize_sum=*/false, out);
-      if (parenthesize_sum) *out += ")";
-      return;
+  if (n.kind == ExprKind::kAttr) {
+    *out += attr_names_.NameOf(n.attr);
+    return;
   }
+  // The parser reads '*' tighter than '+' and both left-associative, so a
+  // child needs parentheses when it is a sum under '*', or when it is the
+  // right operand of its own operator (A*(B*C), A+(B+C)): dropping those
+  // would re-parse as a different, left-nested tree.
+  const bool product = n.kind == ExprKind::kProduct;
+  auto needs_parens = [&](ExprId child, bool right) {
+    const ExprKind k = nodes_[child].kind;
+    return (product && k == ExprKind::kSum) || (right && k == n.kind);
+  };
+  if (parenthesize) *out += "(";
+  ToStringRec(n.lhs, needs_parens(n.lhs, /*right=*/false), out);
+  *out += product ? "*" : "+";
+  ToStringRec(n.rhs, needs_parens(n.rhs, /*right=*/true), out);
+  if (parenthesize) *out += ")";
 }
 
 std::string ExprArena::ToString(ExprId id) const {
   std::string out;
-  ToStringRec(id, /*parenthesize_sum=*/false, &out);
+  ToStringRec(id, /*parenthesize=*/false, &out);
   return out;
 }
 

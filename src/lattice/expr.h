@@ -104,7 +104,8 @@ class ExprArena {
   Result<Pd> ParsePd(std::string_view text);
 
   /// Minimal-parentheses rendering (products print without parens inside
-  /// sums).
+  /// sums; a right operand of the same operator keeps its parens), so
+  /// ParsePd(ToString(pd)) rebuilds the same tree.
   std::string ToString(ExprId id) const;
 
   /// Renders a Pd using the same expression syntax.
@@ -151,7 +152,7 @@ class ExprArena {
   };
 
   ExprId InternNode(ExprKind kind, AttrId attr, ExprId l, ExprId r);
-  void ToStringRec(ExprId id, bool parenthesize_sum, std::string* out) const;
+  void ToStringRec(ExprId id, bool parenthesize, std::string* out) const;
 
   std::vector<Node> nodes_;
   // key: kind in top 2 bits semantics folded via tuple hash below.

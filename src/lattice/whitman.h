@@ -20,7 +20,7 @@
 // synchronization (use one instance per thread). WhitmanIterative::Leq is
 // const and keeps all state in locals, so a single const instance may be
 // shared freely by concurrent readers (over an arena that is no longer
-// being mutated) — it is the decider of choice inside parallel sweeps.
+// being mutated) — it is the decider to share across caller threads.
 
 #ifndef PSEM_LATTICE_WHITMAN_H_
 #define PSEM_LATTICE_WHITMAN_H_

@@ -135,107 +135,6 @@ Result<EvalContext::DenseRef> EvalContext::EvalDense(
   return local.at(e);
 }
 
-Result<std::vector<EvalContext::DenseRef>> EvalContext::EvalDenseBulk(
-    const ExprArena& arena, const PartitionInterpretation& interp,
-    std::span<const ExprId> roots, ThreadPool* pool, const ExecContext& exec) {
-  EnsureBound(arena, interp);
-  // Phase 1 (serial): collect needed nodes across every root, resolve all
-  // attribute leaves, and compute DAG levels for the operator nodes.
-  std::vector<ExprId> needed;
-  std::vector<ExprId> stack(roots.begin(), roots.end());
-  std::unordered_map<ExprId, DenseRef> local;
-  std::unordered_set<ExprId> visited;
-  while (!stack.empty()) {
-    ExprId id = stack.back();
-    stack.pop_back();
-    if (!visited.insert(id).second) continue;
-    if (DenseRef hit = Lookup(id)) {
-      local.emplace(id, std::move(hit));
-      continue;
-    }
-    needed.push_back(id);
-    if (!arena.IsAttr(id)) {
-      stack.push_back(arena.LhsOf(id));
-      stack.push_back(arena.RhsOf(id));
-    }
-  }
-  std::sort(needed.begin(), needed.end());
-  const bool governed = !exec.unbounded();
-  uint64_t call_nodes = 0;
-  std::unordered_map<ExprId, uint32_t> level;
-  std::vector<std::vector<ExprId>> waves;
-  for (ExprId id : needed) {
-    if (arena.IsAttr(id)) {
-      if (governed) {
-        PSEM_RETURN_IF_ERROR(exec.Check());
-        PSEM_RETURN_IF_ERROR(exec.CheckSolverNodes(++call_nodes));
-      }
-      PSEM_ASSIGN_OR_RETURN(DenseRef val, AtomicDense(arena, interp, id));
-      Insert(id, val);
-      local.emplace(id, std::move(val));
-      continue;
-    }
-    auto level_of = [&](ExprId child) -> uint32_t {
-      auto it = level.find(child);
-      return it == level.end() ? 0u : it->second + 1;  // 0: leaf or memo hit
-    };
-    uint32_t lv = std::max(level_of(arena.LhsOf(id)), level_of(arena.RhsOf(id)));
-    level.emplace(id, lv);
-    if (waves.size() <= lv) waves.resize(lv + 1);
-    waves[lv].push_back(id);
-  }
-  // Phase 2: evaluate one level per wave. Operands of a level-L node are
-  // all published by the barrier of wave L-1 (or were resolved in phase
-  // 1), so workers only read `local` and write disjoint slots.
-  std::vector<std::unique_ptr<DenseOps>> band_ops;
-  if (pool != nullptr) {
-    band_ops.resize(pool->num_threads());
-  }
-  for (const std::vector<ExprId>& wave : waves) {
-    if (wave.empty()) continue;
-    if (governed) {
-      PSEM_RETURN_IF_ERROR(exec.Check());
-      call_nodes += wave.size();
-      PSEM_RETURN_IF_ERROR(exec.CheckSolverNodes(call_nodes));
-    }
-    std::vector<DenseRef> slots(wave.size());
-    auto eval_node = [&](DenseOps& ops, std::size_t i) {
-      ExprId id = wave[i];
-      const DensePartition& l = *local.at(arena.LhsOf(id));
-      const DensePartition& r = *local.at(arena.RhsOf(id));
-      auto out = std::make_shared<DensePartition>();
-      if (arena.KindOf(id) == ExprKind::kProduct) {
-        ops.Product(l, r, out.get());
-      } else {
-        ops.Sum(l, r, out.get());
-      }
-      slots[i] = std::move(out);
-    };
-    if (pool != nullptr && wave.size() > 1) {
-      pool->ParallelFor(wave.size(), [&](std::size_t band, std::size_t begin,
-                                         std::size_t end) {
-        if (!band_ops[band]) band_ops[band] = std::make_unique<DenseOps>();
-        for (std::size_t i = begin; i < end; ++i) {
-          eval_node(*band_ops[band], i);
-        }
-      });
-      ++stats_.parallel_waves;
-    } else {
-      for (std::size_t i = 0; i < wave.size(); ++i) eval_node(ops_, i);
-    }
-    stats_.kernel_ops += wave.size();
-    // Publish the wave (serial): memo insert + make operands visible.
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      Insert(wave[i], slots[i]);
-      local.emplace(wave[i], std::move(slots[i]));
-    }
-  }
-  std::vector<DenseRef> out;
-  out.reserve(roots.size());
-  for (ExprId r : roots) out.push_back(local.at(r));
-  return out;
-}
-
 Result<Partition> EvalContext::Eval(const ExprArena& arena,
                                     const PartitionInterpretation& interp,
                                     ExprId e, const ExecContext& exec) {
@@ -255,46 +154,6 @@ Result<bool> EvalContext::Satisfies(const ExprArena& arena,
   ops_.Product(*l, *r, &prod);
   ++stats_.kernel_ops;
   return *l == prod;
-}
-
-Result<std::vector<Partition>> EvalContext::EvalAll(
-    const ExprArena& arena, const PartitionInterpretation& interp,
-    std::span<const ExprId> exprs, ThreadPool* pool, const ExecContext& exec) {
-  PSEM_ASSIGN_OR_RETURN(std::vector<DenseRef> vals,
-                        EvalDenseBulk(arena, interp, exprs, pool, exec));
-  std::vector<Partition> out;
-  out.reserve(vals.size());
-  for (const DenseRef& v : vals) out.push_back(universe_.Sparsify(*v));
-  stats_.exprs_evaluated += exprs.size();
-  return out;
-}
-
-Result<std::vector<bool>> EvalContext::SatisfiesAll(
-    const ExprArena& arena, const PartitionInterpretation& interp,
-    std::span<const Pd> pds, ThreadPool* pool, const ExecContext& exec) {
-  std::vector<ExprId> roots;
-  roots.reserve(2 * pds.size());
-  for (const Pd& pd : pds) {
-    roots.push_back(pd.lhs);
-    roots.push_back(pd.rhs);
-  }
-  PSEM_ASSIGN_OR_RETURN(std::vector<DenseRef> vals,
-                        EvalDenseBulk(arena, interp, roots, pool, exec));
-  std::vector<bool> out(pds.size());
-  DensePartition prod;
-  for (std::size_t i = 0; i < pds.size(); ++i) {
-    const DensePartition& l = *vals[2 * i];
-    const DensePartition& r = *vals[2 * i + 1];
-    if (pds[i].is_equation) {
-      out[i] = (l == r);
-    } else {
-      ops_.Product(l, r, &prod);
-      ++stats_.kernel_ops;
-      out[i] = (l == prod);
-    }
-  }
-  stats_.exprs_evaluated += pds.size();
-  return out;
 }
 
 Result<DensePartition> EvalDenseAssignment(

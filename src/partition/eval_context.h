@@ -1,5 +1,5 @@
 /// @file eval_context.h
-/// @brief Memoized bulk evaluation of lattice expressions over partition
+/// @brief Memoized evaluation of lattice expressions over partition
 /// interpretations, on the dense kernel layer.
 
 // EvalContext is the data-path counterpart of the hash-consed ExprArena:
@@ -19,14 +19,11 @@
 //  * hit/miss/eviction/flush counters are exposed AlgStats-style through
 //    stats().
 //
-// Bulk evaluation (EvalAll) groups the needed subexpressions into DAG
-// levels and evaluates each level as one ThreadPool::ParallelFor wave —
-// the barrier between waves guarantees every operand is ready, and each
-// band owns a private DenseOps so the kernels run allocation- and
-// lock-free. All entry points honor an ExecContext: on deadline, cancel,
-// or solver-node budget exhaustion they return the non-OK Status, keep
-// the partial stats, and leave the context reusable (completed waves stay
-// memoized; nothing half-written is published).
+// Evaluation is serial: one DenseOps scratch serves every kernel call.
+// All entry points honor an ExecContext: on deadline, cancel, or
+// solver-node budget exhaustion they return the non-OK Status, keep the
+// partial stats, and leave the context reusable (subexpressions completed
+// before the trip stay memoized; nothing half-written is published).
 //
 // Thread-compatibility: an EvalContext may be driven by one thread at a
 // time (PartitionInterpretation wraps its private context in a mutex for
@@ -47,7 +44,6 @@
 #include "partition/interpretation.h"
 #include "util/exec_context.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace psem {
 
@@ -60,7 +56,6 @@ struct PartitionEvalStats {
   uint64_t epoch_flushes = 0;    ///< full flushes due to epoch/binding change.
   uint64_t kernel_ops = 0;       ///< dense Product/Sum kernel invocations.
   uint64_t exprs_evaluated = 0;  ///< root expressions returned to callers.
-  uint64_t parallel_waves = 0;   ///< ParallelFor level-waves executed.
 };
 
 /// Memoized evaluator. Bind-per-call: every entry point takes the arena
@@ -84,23 +79,6 @@ class EvalContext {
   Result<bool> Satisfies(const ExprArena& arena,
                          const PartitionInterpretation& interp, const Pd& pd,
                          const ExecContext& exec = ExecContext::Unbounded());
-
-  /// Evaluates every expression of `exprs` over one interpretation.
-  /// With a pool, shared subexpressions are computed once and each DAG
-  /// level runs as one parallel wave; pass nullptr for the serial path.
-  /// On a non-OK Status the output vector is empty, stats are partial,
-  /// and the context remains usable.
-  Result<std::vector<Partition>> EvalAll(
-      const ExprArena& arena, const PartitionInterpretation& interp,
-      std::span<const ExprId> exprs, ThreadPool* pool = nullptr,
-      const ExecContext& exec = ExecContext::Unbounded());
-
-  /// Bulk Satisfies over one interpretation (the pd_consistency /
-  /// discovery shape): verdict per Pd, sharing subexpression work.
-  Result<std::vector<bool>> SatisfiesAll(
-      const ExprArena& arena, const PartitionInterpretation& interp,
-      std::span<const Pd> pds, ThreadPool* pool = nullptr,
-      const ExecContext& exec = ExecContext::Unbounded());
 
   const PartitionEvalStats& stats() const { return stats_; }
   void ResetStats() { stats_ = PartitionEvalStats{}; }
@@ -135,16 +113,10 @@ class EvalContext {
   /// Inserts a computed value (counts the miss; evicts LRU on overflow).
   void Insert(ExprId e, DenseRef value);
 
-  /// The workhorse: evaluates `e` bottom-up with memoization, serially.
+  /// The workhorse: evaluates `e` bottom-up with memoization.
   Result<DenseRef> EvalDense(const ExprArena& arena,
                              const PartitionInterpretation& interp, ExprId e,
                              const ExecContext& exec);
-
-  /// Wave-parallel evaluation of many roots; results per root.
-  Result<std::vector<DenseRef>> EvalDenseBulk(
-      const ExprArena& arena, const PartitionInterpretation& interp,
-      std::span<const ExprId> roots, ThreadPool* pool,
-      const ExecContext& exec);
 
   // Binding identity: pointers + epoch. A dangling pointer is never
   // dereferenced — it only ever participates in the equality test, and a
@@ -160,7 +132,7 @@ class EvalContext {
   std::unordered_map<ExprId, MemoEntry> memo_;
   std::list<ExprId> lru_;  // front = most recent
 
-  DenseOps ops_;  // serial-path scratch
+  DenseOps ops_;  // kernel scratch
   PartitionEvalStats stats_;
 };
 

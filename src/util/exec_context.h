@@ -25,8 +25,8 @@
 // with a fresh context completes normally and yields the same verdicts
 // as a cold engine.
 //
-// All checking methods are const and thread-safe: workers of a parallel
-// sweep may poll one shared context concurrently.
+// All checking methods are const and thread-safe: a caller thread may
+// cancel or poll a context while another thread runs a governed call.
 
 #ifndef PSEM_UTIL_EXEC_CONTEXT_H_
 #define PSEM_UTIL_EXEC_CONTEXT_H_

@@ -11,12 +11,12 @@
 namespace psem {
 
 std::vector<const char*> FailPoints::Catalog() {
-  return {failpoints::kThreadPoolSpawn, failpoints::kAlgSeedAlloc,
-          failpoints::kAlgSweep,        failpoints::kChaseRound,
-          failpoints::kRepairRound,     failpoints::kNaeSearch,
-          failpoints::kCadSearch,       failpoints::kIoTornWrite,
-          failpoints::kIoShortRead,     failpoints::kIoBitFlip,
-          failpoints::kIoFsync,         failpoints::kIoRename};
+  return {failpoints::kAlgSeedAlloc, failpoints::kAlgSweep,
+          failpoints::kChaseRound,   failpoints::kRepairRound,
+          failpoints::kNaeSearch,    failpoints::kCadSearch,
+          failpoints::kIoTornWrite,  failpoints::kIoShortRead,
+          failpoints::kIoBitFlip,    failpoints::kIoFsync,
+          failpoints::kIoRename};
 }
 
 #ifdef PSEM_FAILPOINTS_ENABLED

@@ -36,7 +36,6 @@ namespace psem {
 /// Names of every registered fail-point site, for the matrix test and
 /// the docs/robustness.md catalog. Keep in sync with the call sites.
 namespace failpoints {
-inline constexpr const char* kThreadPoolSpawn = "psem.threadpool.spawn";
 inline constexpr const char* kAlgSeedAlloc = "psem.alg.seed_alloc";
 inline constexpr const char* kAlgSweep = "psem.alg.sweep";
 inline constexpr const char* kChaseRound = "psem.chase.round";

@@ -1,8 +1,7 @@
-// Tests for the batched/parallel/incremental service layer on top of
-// Algorithm ALG (core/implication.h):
-//   1. differential: BatchImplies with the banded parallel sweep agrees
-//      with the literal rule-by-rule NaivePdImplication on 500 random
-//      constraint sets;
+// Tests for the batched/incremental service layer on top of Algorithm ALG
+// (core/implication.h):
+//   1. differential: BatchImplies agrees with the literal rule-by-rule
+//      NaivePdImplication on 500 random constraint sets;
 //   2. incremental-vs-cold: a query stream answered with warm-started
 //      closures agrees, query by query and arc by arc, with fresh cold
 //      engines;
@@ -63,8 +62,7 @@ TEST(BatchImpliesDifferentialTest, AgreesWithNaiveOn500RandomConstraintSets) {
     for (int q = 0; q < 2; ++q) {
       queries.push_back(RandomQuery(&arena, &rng, 3, 3));
     }
-    // Two worker threads force the banded Jacobi sweep even at tiny |V|.
-    PdImplicationEngine engine(&arena, e, EngineOptions{.num_threads = 2});
+    PdImplicationEngine engine(&arena, e);
     std::vector<bool> fast = engine.BatchImplies(queries);
     ASSERT_EQ(fast.size(), queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -135,7 +133,7 @@ TEST(BatchImpliesTest, MatchesSequentialImpliesAndHandlesDuplicates) {
   queries.push_back(queries[0]);
   queries.push_back(queries[7]);
 
-  PdImplicationEngine batch(&arena, e, EngineOptions{.num_threads = 4});
+  PdImplicationEngine batch(&arena, e);
   std::vector<bool> got = batch.BatchImplies(queries);
 
   PdImplicationEngine seq(&arena, e);
@@ -216,32 +214,40 @@ TEST(QueryCacheTest, EvictionKeepsAnswersCorrect) {
 // dropping the row floor to 1 and the per-row density requirement to its
 // minimum: the resulting closure matrix must be identical — vertex count,
 // arc count, and full verdict grid — to the default (density-gated)
-// serial engine and to the banded parallel engine on a saturating,
-// equation-heavy theory.
-TEST(DenseModeTest, BlockedDenseRoundsMatchBandedParallelClosure) {
-  Rng rng(31337);
-  ExprArena arena;
-  std::vector<Pd> e = RandomTheory(&arena, &rng, 6, 48, 8);
-  PdImplicationEngine forced(&arena, e,
-                             EngineOptions{.dense_min_rows = 1,
-                                           .dense_inv_density = SIZE_MAX});
-  PdImplicationEngine serial(&arena, e);
-  PdImplicationEngine parallel(&arena, e, EngineOptions{.num_threads = 4});
-  forced.Prepare({});
-  serial.Prepare({});
-  parallel.Prepare({});
-  EXPECT_GE(forced.stats().dense_rounds, 1u);
-  ASSERT_EQ(forced.stats().num_vertices, serial.stats().num_vertices);
-  ASSERT_EQ(forced.stats().num_arcs, serial.stats().num_arcs);
-  ASSERT_EQ(forced.stats().num_vertices, parallel.stats().num_vertices);
-  ASSERT_EQ(forced.stats().num_arcs, parallel.stats().num_arcs);
-  // Verdicts agree on the full attribute grid.
-  for (int i = 0; i < 6; ++i) {
-    for (int j = 0; j < 6; ++j) {
-      ExprId a = arena.Attr(std::string(1, static_cast<char>('A' + i)));
-      ExprId b = arena.Attr(std::string(1, static_cast<char>('A' + j)));
-      ASSERT_EQ(forced.LeqInClosure(a, b), serial.LeqInClosure(a, b));
-      ASSERT_EQ(serial.LeqInClosure(a, b), parallel.LeqInClosure(a, b));
+// engine. Two shapes: a saturating, equation-heavy theory (|V| ~ 300,
+// where one naive call takes seconds) and a smaller one whose grid the
+// literal rule-by-rule reference also decides.
+TEST(DenseModeTest, BlockedDenseRoundsMatchSerialAndNaiveClosure) {
+  struct Shape {
+    int num_pds, max_ops;
+    bool check_naive;
+  };
+  for (Shape shape : {Shape{48, 8, false}, Shape{12, 4, true}}) {
+    Rng rng(31337);
+    ExprArena arena;
+    std::vector<Pd> e =
+        RandomTheory(&arena, &rng, 6, shape.num_pds, shape.max_ops);
+    PdImplicationEngine forced(&arena, e,
+                               EngineOptions{.dense_min_rows = 1,
+                                             .dense_inv_density = SIZE_MAX});
+    PdImplicationEngine serial(&arena, e);
+    forced.Prepare({});
+    serial.Prepare({});
+    EXPECT_GE(forced.stats().dense_rounds, 1u);
+    ASSERT_EQ(forced.stats().num_vertices, serial.stats().num_vertices);
+    ASSERT_EQ(forced.stats().num_arcs, serial.stats().num_arcs);
+    // Verdicts agree on the full attribute grid.
+    for (int i = 0; i < 6; ++i) {
+      for (int j = 0; j < 6; ++j) {
+        ExprId a = arena.Attr(std::string(1, static_cast<char>('A' + i)));
+        ExprId b = arena.Attr(std::string(1, static_cast<char>('A' + j)));
+        ASSERT_EQ(forced.LeqInClosure(a, b), serial.LeqInClosure(a, b));
+        if (shape.check_naive) {
+          ASSERT_EQ(forced.LeqInClosure(a, b),
+                    NaivePdImplication(arena, e, Pd::Leq(a, b)))
+              << "A" << i << " <= A" << j;
+        }
+      }
     }
   }
 }
@@ -282,14 +288,13 @@ TEST(DenseModeTest, SmallClosuresStaySparse) {
 TEST(AlgStatsTest, TrajectoryFieldsArePopulated) {
   ExprArena arena;
   std::vector<Pd> e = {*arena.ParsePd("A = A*B"), *arena.ParsePd("B = B*C")};
-  PdImplicationEngine engine(&arena, e, EngineOptions{.num_threads = 2});
+  PdImplicationEngine engine(&arena, e);
   EXPECT_TRUE(engine.Implies(*arena.ParsePd("A <= C")));
   const AlgStats& s = engine.stats();
   EXPECT_GT(s.num_vertices, 0u);
   EXPECT_GT(s.num_arcs, 0u);
   EXPECT_EQ(s.passes, s.pass_arc_delta.size());
   EXPECT_GE(s.closure_seconds, 0.0);
-  EXPECT_EQ(s.num_threads, 2u);
   // The last pass confirms the fixpoint: it adds nothing.
   ASSERT_FALSE(s.pass_arc_delta.empty());
   EXPECT_EQ(s.pass_arc_delta.back(), 0u);

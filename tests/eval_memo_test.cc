@@ -3,7 +3,7 @@
 // invalidation (mutating the interpretation must never serve a stale
 // partition), LRU bounding, ExecContext governance (abort keeps partial
 // stats and leaves the engine reusable), and differential agreement of
-// the memoized / bulk / parallel paths with EvalSparse on random DAGs.
+// the memoized path with EvalSparse on random DAGs.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "partition/partition.h"
 #include "util/exec_context.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace psem {
 namespace {
@@ -210,9 +209,8 @@ TEST(EvalMemoTest, SolverNodeBudgetAbortsAndRetrySucceeds) {
   EXPECT_TRUE(ctx2.Eval(arena, interp, e).ok());
 }
 
-TEST(EvalMemoTest, BulkAndParallelAgreeWithSparseReference) {
+TEST(EvalMemoTest, SharedMemoAgreesWithSparseReferenceOnRandomDags) {
   Rng rng(0xeba1);
-  ThreadPool pool(4);
   for (int it = 0; it < 30; ++it) {
     PartitionInterpretation interp;
     std::size_t n = 1 + rng.Below(24);
@@ -225,7 +223,7 @@ TEST(EvalMemoTest, BulkAndParallelAgreeWithSparseReference) {
       Define(&interp, name, n, labels);
     }
     // Random DAG: new nodes combine random earlier nodes, so sharing is
-    // heavy and levels are nontrivial.
+    // heavy and later roots are served partly from the memo.
     ExprArena arena;
     std::vector<ExprId> nodes;
     for (const char* name : names) nodes.push_back(arena.Attr(name));
@@ -237,42 +235,29 @@ TEST(EvalMemoTest, BulkAndParallelAgreeWithSparseReference) {
     }
     std::vector<ExprId> roots(nodes.end() - 8, nodes.end());
 
-    EvalContext serial_ctx, parallel_ctx;
-    Result<std::vector<Partition>> serial =
-        serial_ctx.EvalAll(arena, interp, roots, nullptr);
-    Result<std::vector<Partition>> parallel =
-        parallel_ctx.EvalAll(arena, interp, roots, &pool);
-    ASSERT_TRUE(serial.ok());
-    ASSERT_TRUE(parallel.ok());
-    ASSERT_EQ(serial->size(), roots.size());
-    ASSERT_EQ(parallel->size(), roots.size());
-    for (std::size_t i = 0; i < roots.size(); ++i) {
-      Result<Partition> ref = interp.EvalSparse(arena, roots[i]);
+    EvalContext ctx;
+    for (ExprId root : roots) {
+      Result<Partition> got = ctx.Eval(arena, interp, root);
+      Result<Partition> ref = interp.EvalSparse(arena, root);
+      ASSERT_TRUE(got.ok());
       ASSERT_TRUE(ref.ok());
-      EXPECT_EQ((*serial)[i], *ref);
-      EXPECT_EQ((*parallel)[i], *ref);
+      EXPECT_EQ(*got, *ref);
     }
-    EXPECT_GT(parallel_ctx.stats().parallel_waves, 0u);
 
-    // SatisfiesAll agrees with the one-at-a-time path.
-    std::vector<Pd> pds;
+    // Satisfies on the same warm context agrees with the public path.
     for (std::size_t i = 0; i + 1 < roots.size(); i += 2) {
-      pds.push_back(rng.Chance(1, 2) ? Pd::Eq(roots[i], roots[i + 1])
-                                     : Pd::Leq(roots[i], roots[i + 1]));
-    }
-    Result<std::vector<bool>> bulk =
-        parallel_ctx.SatisfiesAll(arena, interp, pds, &pool);
-    ASSERT_TRUE(bulk.ok());
-    ASSERT_EQ(bulk->size(), pds.size());
-    for (std::size_t i = 0; i < pds.size(); ++i) {
-      Result<bool> one = interp.Satisfies(arena, pds[i]);
+      Pd pd = rng.Chance(1, 2) ? Pd::Eq(roots[i], roots[i + 1])
+                               : Pd::Leq(roots[i], roots[i + 1]);
+      Result<bool> got = ctx.Satisfies(arena, interp, pd);
+      Result<bool> one = interp.Satisfies(arena, pd);
+      ASSERT_TRUE(got.ok());
       ASSERT_TRUE(one.ok());
-      EXPECT_EQ((*bulk)[i], *one);
+      EXPECT_EQ(*got, *one);
     }
   }
 }
 
-TEST(EvalMemoTest, ParallelAbortLeavesContextReusable) {
+TEST(EvalMemoTest, PartialAbortLeavesSharedMemoReusable) {
   PartitionInterpretation interp;
   DefineAbc(&interp);
   ExprArena arena;
@@ -282,22 +267,23 @@ TEST(EvalMemoTest, ParallelAbortLeavesContextReusable) {
     e = arena.Sum(arena.Product(e, arena.Attr("B")), arena.Attr("C"));
     roots.push_back(e);
   }
-  ThreadPool pool(2);
+  // The deepest root needs 21 fresh nodes; a budget of 8 trips after the
+  // first 8 are computed, and those stay memoized for the other roots.
   EvalContext ctx;
-  CancelToken token;
-  token.Cancel();
-  ExecContext cancelled;
-  cancelled.WithCancelToken(token);
-  Result<std::vector<Partition>> aborted =
-      ctx.EvalAll(arena, interp, roots, &pool, cancelled);
+  ExecContext budgeted;
+  budgeted.WithMaxSolverNodes(8);
+  Result<Partition> aborted = ctx.Eval(arena, interp, roots.back(), budgeted);
   ASSERT_FALSE(aborted.ok());
-  EXPECT_EQ(aborted.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(aborted.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(ctx.memo_size(), 8u);
 
-  Result<std::vector<Partition>> ok = ctx.EvalAll(arena, interp, roots, &pool);
-  ASSERT_TRUE(ok.ok());
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    EXPECT_EQ((*ok)[i], *interp.EvalSparse(arena, roots[i]));
+  const uint64_t hits_before = ctx.stats().memo_hits;
+  for (ExprId root : roots) {
+    Result<Partition> ok = ctx.Eval(arena, interp, root);
+    ASSERT_TRUE(ok.ok());
+    EXPECT_EQ(*ok, *interp.EvalSparse(arena, root));
   }
+  EXPECT_GT(ctx.stats().memo_hits, hits_before);
 }
 
 TEST(EvalMemoTest, UndefinedAttributeIsNotFoundAndRecoverable) {

@@ -100,6 +100,32 @@ TEST(ExprPrinterTest, RoundTrip) {
   }
 }
 
+TEST(ExprPrinterTest, RightNestedSameOperatorRoundTrips) {
+  // A right operand of its own operator keeps its parentheses; dropping
+  // them would re-parse left-nested, a different tree (and a different
+  // interned id) for the same lattice term.
+  ExprArena a;
+  ExprId x = a.Attr("A1"), y = a.Attr("A2"), z = a.Attr("A3");
+  ExprId right_product = a.Product(x, a.Product(y, z));
+  ExprId right_sum = a.Sum(x, a.Sum(y, z));
+  EXPECT_EQ(a.ToString(right_product), "A1*(A2*A3)");
+  EXPECT_EQ(a.ToString(right_sum), "A1+(A2+A3)");
+  // Left-nested output is unchanged.
+  EXPECT_EQ(a.ToString(a.Product(a.Product(x, y), z)), "A1*A2*A3");
+  EXPECT_EQ(a.ToString(a.Sum(a.Sum(x, y), z)), "A1+A2+A3");
+  std::vector<Pd> pds = {
+      Pd::Leq(right_product, a.Attr("B")),
+      Pd::Eq(right_sum, a.Product(right_product, right_sum)),
+      Pd::Leq(a.Sum(x, a.Sum(a.Product(y, a.Product(z, x)), y)),
+              a.Product(a.Sum(x, y), a.Sum(z, a.Sum(x, y)))),
+  };
+  for (const Pd& pd : pds) {
+    Result<Pd> back = a.ParsePd(a.ToString(pd));
+    ASSERT_TRUE(back.ok()) << a.ToString(pd);
+    EXPECT_EQ(*back, pd) << a.ToString(pd);
+  }
+}
+
 TEST(ExprArenaTest, CollectSubexprs) {
   ExprArena a;
   ExprId e = *a.Parse("A*B + A*B");  // hash-consed: A*B appears once

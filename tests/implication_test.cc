@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -195,12 +196,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AlgDifferentialTest, ::testing::Range(0, 8));
 // --- differential: delta closure vs naive, across engine configurations -------
 //
 // Coverage for the semi-naive delta closure: 500 random theories
-// (20 seeds x 25 trials), each answered four ways against the literal
+// (20 seeds x 25 trials), each answered three ways against the literal
 // rule-by-rule reference:
-//   * serial, 2-thread, and 8-thread engines, queried incrementally so
-//     each later query extends V and exercises the warm-start seeding;
+//   * the default engine and a forced-dense engine (every round through
+//     the blocked tile kernel), queried incrementally so each later query
+//     extends V and exercises the warm-start seeding;
 //   * a budget-starved engine whose closure is aborted by WithMaxArcs
-//     and resumed with doubled budgets until it completes — the final
+//     and resumed with escalating budgets until it completes — the final
 //     verdicts after any number of aborted attempts must still match.
 // All engine configurations must also agree among themselves on the
 // final vertex and arc counts (the closure matrix is configuration-
@@ -230,21 +232,24 @@ TEST_P(DeltaClosureDifferentialTest, AllConfigurationsMatchNaive) {
     }
 
     std::size_t final_vertices = 0, final_arcs = 0;
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                std::size_t{8}}) {
-      PdImplicationEngine engine(&arena, e,
-                                 EngineOptions{.num_threads = threads});
+    for (bool force_dense : {false, true}) {
+      EngineOptions options;
+      if (force_dense) {
+        options.dense_min_rows = 1;
+        options.dense_inv_density = SIZE_MAX;
+      }
+      PdImplicationEngine engine(&arena, e, options);
       for (std::size_t qi = 0; qi < queries.size(); ++qi) {
         ASSERT_EQ(engine.Implies(queries[qi]), expected[qi])
-            << describe(queries[qi]) << " threads: " << threads;
+            << describe(queries[qi]) << " forced dense: " << force_dense;
       }
-      if (threads == 1) {
+      if (!force_dense) {
         final_vertices = engine.stats().num_vertices;
         final_arcs = engine.stats().num_arcs;
       } else {
         ASSERT_EQ(engine.stats().num_vertices, final_vertices);
         ASSERT_EQ(engine.stats().num_arcs, final_arcs)
-            << "closure diverged at " << threads << " threads";
+            << "forced-dense closure diverged";
       }
     }
 

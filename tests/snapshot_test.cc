@@ -239,6 +239,30 @@ TEST_F(SnapshotTest, JournalAloneRecoversUncheckpointedConstraints) {
   EXPECT_EQ(d->engine().constraints().size(), base.size() + 2);
 }
 
+TEST_F(SnapshotTest, RightNestedConstraintRecoversExactlyOnce) {
+  // The journal record must re-parse to the same tree the snapshot holds,
+  // or replay misses the dedupe and adds the constraint a second time.
+  {
+    ExprArena arena;
+    auto d = DurablePdEngine::Recover(&arena, {}, Opts(/*checkpoint_every=*/0));
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    Pd pd = Pd::Leq(arena.Product(arena.Attr("A1"),
+                                  arena.Product(arena.Attr("A2"),
+                                                arena.Attr("A3"))),
+                    arena.Attr("B"));
+    ASSERT_TRUE(d->AddPd(pd, ExecContext::Unbounded()).ok());
+    ASSERT_TRUE(d->Checkpoint(ExecContext::Unbounded()).ok());
+  }
+  ExprArena arena2;
+  auto d = DurablePdEngine::Recover(&arena2, {}, Opts());
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d->recovery().tier, RecoveryTier::kCleanRestore);
+  EXPECT_EQ(d->recovery().journal_records, 1u);
+  EXPECT_EQ(d->recovery().journal_replayed_new, 0u);
+  ASSERT_EQ(d->engine().constraints().size(), 1u);
+  EXPECT_EQ(d->engine().constraints()[0], *arena2.ParsePd("A1*(A2*A3) <= B"));
+}
+
 TEST_F(SnapshotTest, MismatchedBaseTheoryDegradesToColdRecompute) {
   ExprArena arena;
   auto base = BaseTheory(&arena);

@@ -32,6 +32,32 @@ TEST(PdTheoryTest, AddInvalidatesEngine) {
   EXPECT_TRUE(*t.ImpliesParsed("A <= C"));
 }
 
+TEST(PdTheoryTest, AddGrowsTheLiveEngine) {
+  const char* base[] = {"A = A*B", "C <= D+E", "D = A+B"};
+  const char* added[] = {"E <= A*C", "B = B*C", "A*(B*C) <= E"};
+  const char* queries[] = {"A <= C",     "E <= A",       "A*B <= D+E",
+                           "B <= A*C+E", "C+D <= A+B+E", "A*C <= E*D"};
+  PdTheory grown;
+  for (const char* pd : base) ASSERT_TRUE(grown.AddParsed(pd).ok());
+  for (const char* q : queries) ASSERT_TRUE(grown.ImpliesParsed(q).ok());
+  ASSERT_EQ(grown.engine().stats().cold_closures, 1u);
+  for (const char* pd : added) ASSERT_TRUE(grown.AddParsed(pd).ok());
+  // The engine that served the queries above is still the live one (a
+  // rebuilt engine would not have closed yet).
+  EXPECT_EQ(grown.engine().stats().cold_closures, 1u);
+
+  PdTheory fresh;
+  for (const char* pd : base) ASSERT_TRUE(fresh.AddParsed(pd).ok());
+  for (const char* pd : added) ASSERT_TRUE(fresh.AddParsed(pd).ok());
+  for (const char* q : queries) {
+    EXPECT_EQ(*grown.ImpliesParsed(q), *fresh.ImpliesParsed(q)) << q;
+  }
+  // Still one cold closure for the whole lifetime: Add warm-started the
+  // engine built by the first queries rather than discarding it.
+  EXPECT_EQ(grown.engine().stats().cold_closures, 1u);
+  EXPECT_GE(grown.engine().stats().incremental_closures, 1u);
+}
+
 TEST(PdTheoryTest, EquivalentPds) {
   PdTheory t;
   Pd a = *t.arena().ParsePd("X = X*Y");
