@@ -197,9 +197,9 @@ std::size_t EffectiveWidth(const Database& db, const std::vector<Fd>& fds,
 
 bool WeakInstanceConsistent(const Database& db, const std::vector<Fd>& fds,
                             std::size_t universe_width) {
-  Tableau t = Tableau::Representative(db, EffectiveWidth(db, fds,
-                                                         universe_width));
-  return ChaseWithFds(&t, fds).consistent;
+  return WeakInstanceConsistentChecked(db, fds, universe_width,
+                                       ExecContext::Unbounded())
+      .value();
 }
 
 Result<bool> WeakInstanceConsistentChecked(const Database& db,

@@ -99,7 +99,7 @@ ChaseResult ChaseWithFds(Tableau* tableau, const std::vector<Fd>& fds,
 /// assumption iff the chase of the representative tableau succeeds.
 /// `universe_width` overrides the tableau width (0 = db's universe size);
 /// pass the extended universe's size when the FDs come from PD
-/// normalization.
+/// normalization. WeakInstanceConsistentChecked with an unbounded context.
 bool WeakInstanceConsistent(const Database& db, const std::vector<Fd>& fds,
                             std::size_t universe_width = 0);
 

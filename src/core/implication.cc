@@ -950,68 +950,4 @@ std::vector<Result<bool>> PdImplicationEngine::BatchImplies(
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Naive reference: the seven rules of ALG, applied literally until no new
-// arc can be added.
-// ---------------------------------------------------------------------------
-
-bool NaivePdImplication(const ExprArena& arena, const std::vector<Pd>& e,
-                        const Pd& query) {
-  // V: subexpressions of E, e, e'.
-  std::set<ExprId> seen;
-  std::vector<ExprId> v;
-  for (const Pd& pd : e) {
-    arena.CollectSubexprs(pd.lhs, &seen, &v);
-    arena.CollectSubexprs(pd.rhs, &seen, &v);
-  }
-  arena.CollectSubexprs(query.lhs, &seen, &v);
-  arena.CollectSubexprs(query.rhs, &seen, &v);
-
-  std::set<std::pair<ExprId, ExprId>> gamma;
-  auto has = [&](ExprId a, ExprId b) { return gamma.count({a, b}) > 0; };
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    auto add = [&](ExprId a, ExprId b) {
-      if (gamma.insert({a, b}).second) changed = true;
-    };
-    // Step 1: (A, A) for attributes.
-    for (ExprId x : v) {
-      if (arena.IsAttr(x)) add(x, x);
-    }
-    // Step 6: constraint arcs.
-    for (const Pd& pd : e) {
-      add(pd.lhs, pd.rhs);
-      if (pd.is_equation) add(pd.rhs, pd.lhs);
-    }
-    for (ExprId x : v) {
-      if (arena.IsAttr(x)) continue;
-      ExprId p = arena.LhsOf(x), q = arena.RhsOf(x);
-      for (ExprId s : v) {
-        if (arena.KindOf(x) == ExprKind::kSum) {
-          // Step 2: (p,s) and (q,s) => (p+q, s).
-          if (has(p, s) && has(q, s)) add(x, s);
-          // Step 5: (s,p) or (s,q) => (s, p+q).
-          if (has(s, p) || has(s, q)) add(s, x);
-        } else {
-          // Step 3: (p,s) or (q,s) => (p*q, s).
-          if (has(p, s) || has(q, s)) add(x, s);
-          // Step 4: (s,p) and (s,q) => (s, p*q).
-          if (has(s, p) && has(s, q)) add(s, x);
-        }
-      }
-    }
-    // Step 7: transitivity.
-    for (const auto& [a, b] : std::set<std::pair<ExprId, ExprId>>(gamma)) {
-      for (ExprId c : v) {
-        if (has(b, c)) add(a, c);
-      }
-    }
-  }
-  bool fwd = has(query.lhs, query.rhs);
-  if (!query.is_equation) return fwd;
-  return fwd && has(query.rhs, query.lhs);
-}
-
 }  // namespace psem

@@ -39,8 +39,9 @@
 //    pairs memoizes verdicts across calls; by the same V-independence the
 //    cache never needs invalidation for a fixed E.
 //
-// NaivePdImplication applies the seven rules literally, arc by arc, as a
-// slow reference for differential tests.
+// ProvenanceEngine (core/proof.h) applies the seven rules literally, arc
+// by arc; it is both the explanation engine and the slow reference the
+// differential tests check this engine against.
 //
 // Thread-compatibility: const methods (LeqInClosure, stats, ...) are safe
 // to call concurrently once Prepare has returned; the mutating entry
@@ -324,12 +325,6 @@ class PdImplicationEngine {
   std::unordered_map<uint64_t, std::list<std::pair<uint64_t, bool>>::iterator>
       cache_;
 };
-
-/// Literal transcription of ALG (Section 5.2): a worklist of arcs, the
-/// seven rules applied one arc at a time. Exponentially clearer, far
-/// slower; used to differential-test the engine.
-bool NaivePdImplication(const ExprArena& arena, const std::vector<Pd>& e,
-                        const Pd& query);
 
 }  // namespace psem
 

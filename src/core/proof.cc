@@ -22,9 +22,7 @@ ProvenanceEngine::ProvenanceEngine(const ExprArena* arena,
 }
 
 void ProvenanceEngine::AddVertex(ExprId e) {
-  for (ExprId v : vertices_) {
-    if (v == e) return;
-  }
+  if (!in_v_.insert(e).second) return;
   if (!arena_->IsAttr(e)) {
     AddVertex(arena_->LhsOf(e));
     AddVertex(arena_->RhsOf(e));
@@ -53,8 +51,10 @@ void ProvenanceEngine::Saturate() {
   arc_keys_.clear();
   arc_index_.clear();
 
-  // Step 1 (generalized): reflexivity.
+  // Step 1: (A, A) for attributes. A composite m reaches (m, m) through
+  // rules 3+4 (products) or 5+2 (sums).
   for (ExprId v : vertices_) {
+    if (!arena_->IsAttr(v)) continue;
     ProofStep s;
     s.rule = ProofStep::Rule::kReflexivity;
     AddArc(v, v, s);
@@ -245,6 +245,7 @@ Status ValidateProof(const ExprArena& arena,
     switch (s.rule) {
       case ProofStep::Rule::kReflexivity:
         if (s.lhs != s.rhs) return fail("lhs != rhs");
+        if (!arena.IsAttr(s.lhs)) return fail("side not an attribute");
         break;
       case ProofStep::Rule::kHypothesis: {
         if (s.hypothesis_index >= constraints.size()) {

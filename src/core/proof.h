@@ -14,6 +14,8 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "lattice/expr.h"
@@ -22,12 +24,12 @@
 namespace psem {
 
 /// One derived arc p <= q with its justification. Mirrors ALG's rules:
-/// reflexivity (step 1, generalized to all vertices), hypothesis (step 6),
+/// reflexivity (step 1, attributes only), hypothesis (step 6),
 /// the four monotonicity/decomposition steps 2-5, and transitivity
 /// (step 7).
 struct ProofStep {
   enum class Rule : uint8_t {
-    kReflexivity,   ///< e <= e.
+    kReflexivity,   ///< A <= A for an attribute A (step 1).
     kHypothesis,    ///< arc of a constraint in E (step 6).
     kSumLub,        ///< p <= s, q <= s  =>  p+q <= s   (step 2).
     kProductLower,  ///< p <= s          =>  p*q <= s,
@@ -57,9 +59,10 @@ struct Proof {
   const ProofStep& goal() const { return steps.back(); }
 };
 
-/// Saturation engine with provenance. Slower than PdImplicationEngine
-/// (it applies rules arc-by-arc); use it when a derivation is wanted, the
-/// bitset engine when only the verdict is.
+/// Saturation engine with provenance: the library's one literal ALG, and
+/// the reference the bitset PdImplicationEngine is differential-tested
+/// against (Prove(query).ok() is the verdict E |= query). Slower, as it
+/// applies rules arc-by-arc; use it when a derivation is wanted.
 class ProvenanceEngine {
  public:
   ProvenanceEngine(const ExprArena* arena, std::vector<Pd> constraints);
@@ -83,7 +86,8 @@ class ProvenanceEngine {
 
   const ExprArena* arena_;
   std::vector<Pd> constraints_;
-  std::vector<ExprId> vertices_;
+  std::vector<ExprId> vertices_;    // insertion order, children first
+  std::unordered_set<ExprId> in_v_;  // dedupe index over vertices_
   // arc key -> index into all_steps_.
   std::vector<ProofStep> all_steps_;
   std::vector<uint64_t> arc_keys_;  // parallel to all_steps_
@@ -94,8 +98,9 @@ class ProvenanceEngine {
 
 /// Checks a proof for well-formedness and local rule validity against the
 /// constraint set: premises precede consumers, each step's conclusion
-/// follows from its premises by its rule, and the goal matches (lhs, rhs)
-/// when provided.
+/// follows from its premises by its rule, and reflexivity is only used on
+/// attributes (step 1). It does not know what the proof was meant to
+/// show; callers compare goal() against the PD they asked for.
 Status ValidateProof(const ExprArena& arena, const std::vector<Pd>& constraints,
                      const Proof& proof);
 

@@ -6,66 +6,13 @@
 namespace psem {
 
 namespace {
+
 inline uint64_t PairKey(ExprId p, ExprId q) {
   return (static_cast<uint64_t>(p) << 32) | q;
 }
-}  // namespace
 
-// Rule dispatch (Section 5.3, cases 1-7). The recursion is well-founded:
-// every recursive call strictly decreases |p| + |q|.
-bool WhitmanMemo::Leq(ExprId p, ExprId q) {
-  uint64_t key = PairKey(p, q);
-  auto it = memo_.find(key);
-  if (it != memo_.end()) return it->second;
-
-  const ExprArena& a = *arena_;
-  bool res;
-  if (a.KindOf(p) == ExprKind::kSum) {
-    // Case 7: p1 + p2 <= q iff p1 <= q and p2 <= q.
-    res = Leq(a.LhsOf(p), q) && Leq(a.RhsOf(p), q);
-  } else if (a.KindOf(q) == ExprKind::kProduct &&
-             a.KindOf(p) != ExprKind::kProduct) {
-    // Case 2 (p an attribute): p <= q1 * q2 iff p <= q1 and p <= q2.
-    res = Leq(p, a.LhsOf(q)) && Leq(p, a.RhsOf(q));
-  } else if (a.KindOf(p) == ExprKind::kAttr) {
-    switch (a.KindOf(q)) {
-      case ExprKind::kAttr:
-        // Case 1: A <= A' iff identical (ids are hash-consed).
-        res = (p == q);
-        break;
-      case ExprKind::kSum:
-        // Case 3: A <= q1 + q2 iff A <= q1 or A <= q2.
-        res = Leq(p, a.LhsOf(q)) || Leq(p, a.RhsOf(q));
-        break;
-      case ExprKind::kProduct:
-        res = Leq(p, a.LhsOf(q)) && Leq(p, a.RhsOf(q));
-        break;
-    }
-  } else {
-    // p is a product p1 * p2.
-    ExprId p1 = a.LhsOf(p), p2 = a.RhsOf(p);
-    switch (a.KindOf(q)) {
-      case ExprKind::kAttr:
-        // Case 4: p1 * p2 <= A' iff p1 <= A' or p2 <= A'.
-        res = Leq(p1, q) || Leq(p2, q);
-        break;
-      case ExprKind::kProduct:
-        // Case 5: p <= q1 * q2 iff p <= q1 and p <= q2.
-        res = Leq(p, a.LhsOf(q)) && Leq(p, a.RhsOf(q));
-        break;
-      case ExprKind::kSum:
-        // Case 6 (Whitman's condition): p1*p2 <= q1+q2 iff
-        //   p1 <= q or p2 <= q or p <= q1 or p <= q2.
-        res = Leq(p1, q) || Leq(p2, q) || Leq(p, a.LhsOf(q)) ||
-              Leq(p, a.RhsOf(q));
-        break;
-    }
-  }
-  memo_.emplace(key, res);
-  return res;
-}
-
-namespace {
+// Deadline/cancel poll period for the governed deciders, in calls/frames.
+constexpr uint64_t kWhitmanCheckStride = 1024;
 
 // One member of the C(p, q) call list: a recursive subproblem.
 struct Member {
@@ -82,9 +29,12 @@ struct CallList {
   bool leaf_value = false;  // used when count == 0 (case 1)
 };
 
+// Rule dispatch (Section 5.3, cases 1-7), shared by both deciders. The
+// recursion is well-founded: every member strictly decreases |p| + |q|.
 CallList MembersOf(const ExprArena& a, ExprId p, ExprId q) {
   CallList c;
   if (a.KindOf(p) == ExprKind::kSum) {
+    // Case 7: p1 + p2 <= q iff p1 <= q and p2 <= q.
     c.is_and = true;
     c.members[c.count++] = {a.LhsOf(p), q};
     c.members[c.count++] = {a.RhsOf(p), q};
@@ -92,6 +42,7 @@ CallList MembersOf(const ExprArena& a, ExprId p, ExprId q) {
   }
   if (a.KindOf(q) == ExprKind::kProduct &&
       a.KindOf(p) != ExprKind::kProduct) {
+    // Case 2 (p an attribute): p <= q1 * q2 iff p <= q1 and p <= q2.
     c.is_and = true;
     c.members[c.count++] = {p, a.LhsOf(q)};
     c.members[c.count++] = {p, a.RhsOf(q)};
@@ -100,9 +51,11 @@ CallList MembersOf(const ExprArena& a, ExprId p, ExprId q) {
   if (a.KindOf(p) == ExprKind::kAttr) {
     switch (a.KindOf(q)) {
       case ExprKind::kAttr:
+        // Case 1: A <= A' iff identical (ids are hash-consed).
         c.leaf_value = (p == q);
         return c;
       case ExprKind::kSum:
+        // Case 3: A <= q1 + q2 iff A <= q1 or A <= q2.
         c.is_and = false;
         c.members[c.count++] = {p, a.LhsOf(q)};
         c.members[c.count++] = {p, a.RhsOf(q)};
@@ -118,16 +71,20 @@ CallList MembersOf(const ExprArena& a, ExprId p, ExprId q) {
   ExprId p1 = a.LhsOf(p), p2 = a.RhsOf(p);
   switch (a.KindOf(q)) {
     case ExprKind::kAttr:
+      // Case 4: p1 * p2 <= A' iff p1 <= A' or p2 <= A'.
       c.is_and = false;
       c.members[c.count++] = {p1, q};
       c.members[c.count++] = {p2, q};
       return c;
     case ExprKind::kProduct:
+      // Case 5: p <= q1 * q2 iff p <= q1 and p <= q2.
       c.is_and = true;
       c.members[c.count++] = {p, a.LhsOf(q)};
       c.members[c.count++] = {p, a.RhsOf(q)};
       return c;
     case ExprKind::kSum:
+      // Case 6 (Whitman's condition): p1*p2 <= q1+q2 iff
+      //   p1 <= q or p2 <= q or p <= q1 or p <= q2.
       c.is_and = false;
       c.members[c.count++] = {p1, q};
       c.members[c.count++] = {p2, q};
@@ -146,62 +103,10 @@ struct Frame {
 
 }  // namespace
 
-bool WhitmanIterative::Leq(ExprId p, ExprId q,
-                           WhitmanIterativeStats* stats) const {
-  const ExprArena& a = *arena_;
-  std::vector<Frame> stack;
-  stack.push_back({p, q, 0});
-  std::size_t peak = 1, calls = 1;
-  // `ret` carries the value of the child call that just completed;
-  // meaningful only when have_return is true.
-  bool ret = false;
-  bool have_return = false;
-
-  while (!stack.empty()) {
-    Frame& f = stack.back();
-    CallList c = MembersOf(a, f.p, f.q);
-    if (c.count == 0) {
-      // Case 1 leaf: A <= A'.
-      ret = c.leaf_value;
-      have_return = true;
-      stack.pop_back();
-      continue;
-    }
-    if (have_return) {
-      // A child of this frame just returned `ret`.
-      bool short_circuit = c.is_and ? !ret : ret;
-      if (short_circuit || f.next_member >= c.count) {
-        // Either the connective is decided, or every member has been
-        // evaluated — in that case the last child's value IS the frame's
-        // value (AND with all-true so far, OR with all-false so far).
-        stack.pop_back();
-        continue;  // `ret` propagates unchanged, have_return stays true
-      }
-      have_return = false;  // descend into the next member
-    }
-    // Push the next member (first visit has next_member == 0 < count).
-    Member m = c.members[f.next_member++];
-    stack.push_back({m.p, m.q, 0});
-    ++calls;
-    peak = std::max(peak, stack.size());
-  }
-  if (stats != nullptr) {
-    stats->peak_stack_depth = std::max(stats->peak_stack_depth, peak);
-    stats->total_calls += calls;
-  }
-  assert(have_return);
-  return ret;
-}
-
-namespace {
-// Deadline/cancel poll period for the governed deciders, in calls/frames.
-constexpr uint64_t kWhitmanCheckStride = 1024;
-}  // namespace
-
-// Governed twin of Leq over the same CallList dispatch. Recursion depth
-// is the |p|+|q| descent, so CheckDepth bounds the native stack; the memo
-// only ever receives fully decided subproblems, so an aborted query
-// leaves it sound and the decider reusable.
+// Memoized recursion over the CallList dispatch. Recursion depth is the
+// |p|+|q| descent, so CheckDepth bounds the native stack; the memo only
+// ever receives fully decided subproblems, so an aborted query leaves it
+// sound and the decider reusable.
 Status WhitmanMemo::LeqImpl(ExprId p, ExprId q, uint64_t depth,
                             const ExecContext& ctx, uint64_t* calls,
                             bool* out) {
@@ -232,9 +137,10 @@ Status WhitmanMemo::LeqImpl(ExprId p, ExprId q, uint64_t depth,
   return Status::OK();
 }
 
+bool WhitmanMemo::Leq(ExprId p, ExprId q) { return LeqChecked(p, q).value(); }
+
 Result<bool> WhitmanMemo::LeqChecked(ExprId p, ExprId q,
                                      const ExecContext& ctx) {
-  if (ctx.unbounded()) return Leq(p, q);
   uint64_t calls = 0;
   bool out = false;
   PSEM_RETURN_IF_ERROR(LeqImpl(p, q, 1, ctx, &calls, &out));
@@ -248,10 +154,14 @@ Result<bool> WhitmanMemo::EqChecked(ExprId p, ExprId q,
   return LeqChecked(q, p, ctx);
 }
 
+bool WhitmanIterative::Leq(ExprId p, ExprId q,
+                           WhitmanIterativeStats* stats) const {
+  return LeqChecked(p, q, ExecContext::Unbounded(), stats).value();
+}
+
 Result<bool> WhitmanIterative::LeqChecked(ExprId p, ExprId q,
                                           const ExecContext& ctx,
                                           WhitmanIterativeStats* stats) const {
-  if (ctx.unbounded()) return Leq(p, q, stats);
   const ExprArena& a = *arena_;
   std::vector<Frame> stack;
   stack.push_back({p, q, 0});
@@ -271,10 +181,13 @@ Result<bool> WhitmanIterative::LeqChecked(ExprId p, ExprId q,
     if (have_return) {
       bool short_circuit = c.is_and ? !ret : ret;
       if (short_circuit || f.next_member >= c.count) {
+        // Either the connective is decided, or every member has been
+        // evaluated — in that case the last child's value IS the frame's
+        // value (AND with all-true so far, OR with all-false so far).
         stack.pop_back();
-        continue;
+        continue;  // `ret` propagates unchanged, have_return stays true
       }
-      have_return = false;
+      have_return = false;  // descend into the next member
     }
     Member m = c.members[f.next_member++];
     stack.push_back({m.p, m.q, 0});

@@ -5,7 +5,8 @@
 // the E = {} special case of PD implication, solvable in logarithmic space
 // (Theorem 10).
 //
-// Two implementations are provided:
+// Two implementations are provided, both driven by one case dispatch
+// (the rule cases of Section 5.3):
 //  * WhitmanMemo      — memoized recursion, O(|p| * |q|) time/space; the
 //                       workhorse used by the rest of the library.
 //  * WhitmanIterative — explicit-stack evaluation that stores NO results of
@@ -14,6 +15,9 @@
 //                       small frame per recursion level. Peak depth is
 //                       reported so benchmarks can verify the O(tree depth)
 //                       space shape that underlies the logspace bound.
+//
+// Each decider has one code path: the governed LeqChecked. Leq is
+// LeqChecked under ExecContext::Unbounded(), whose budgets never trip.
 //
 // Thread compatibility: WhitmanMemo::Leq mutates the shared memo table, so
 // a WhitmanMemo instance must not be shared across threads without external
@@ -52,8 +56,8 @@ class WhitmanMemo {
     return pd.is_equation ? Eq(pd.lhs, pd.rhs) : Leq(pd.lhs, pd.rhs);
   }
 
-  /// Governed variant of Leq: observes ctx's recursion-depth budget,
-  /// deadline, and cancel token (polled every ~1024 calls). On a trip it
+  /// The decider. Observes ctx's recursion-depth budget, deadline, and
+  /// cancel token (polled every ~1024 calls). On a trip it
   /// returns the ctx Status; the memo keeps only the sub-verdicts that
   /// completed (all sound), so the decider stays fully usable.
   Result<bool> LeqChecked(ExprId p, ExprId q,
@@ -99,7 +103,7 @@ class WhitmanIterative {
     return Leq(p, q, stats) && Leq(q, p, stats);
   }
 
-  /// Governed variant: the live frame count is checked against ctx's
+  /// The decider. The live frame count is checked against ctx's
   /// depth budget on every push, and the deadline/cancel token every
   /// ~1024 frames. All state is local, so an early stop loses nothing.
   Result<bool> LeqChecked(ExprId p, ExprId q,

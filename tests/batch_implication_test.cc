@@ -1,7 +1,7 @@
 // Tests for the batched/incremental service layer on top of Algorithm ALG
 // (core/implication.h):
 //   1. differential: BatchImplies agrees with the literal rule-by-rule
-//      NaivePdImplication on 500 random constraint sets;
+//      ProvenanceEngine on 500 random constraint sets;
 //   2. incremental-vs-cold: a query stream answered with warm-started
 //      closures agrees, query by query and arc by arc, with fresh cold
 //      engines;
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/implication.h"
+#include "core/proof.h"
 #include "lattice/expr.h"
 #include "util/rng.h"
 
@@ -66,7 +67,7 @@ TEST(BatchImpliesDifferentialTest, AgreesWithNaiveOn500RandomConstraintSets) {
     std::vector<bool> fast = engine.BatchImplies(queries);
     ASSERT_EQ(fast.size(), queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      bool slow = NaivePdImplication(arena, e, queries[q]);
+      bool slow = ProvenanceEngine(&arena, e).Prove(queries[q]).ok();
       ASSERT_EQ(fast[q], slow)
           << "set " << set << " query " << arena.ToString(queries[q]);
     }
@@ -244,7 +245,7 @@ TEST(DenseModeTest, BlockedDenseRoundsMatchSerialAndNaiveClosure) {
         ASSERT_EQ(forced.LeqInClosure(a, b), serial.LeqInClosure(a, b));
         if (shape.check_naive) {
           ASSERT_EQ(forced.LeqInClosure(a, b),
-                    NaivePdImplication(arena, e, Pd::Leq(a, b)))
+                    ProvenanceEngine(&arena, e).Prove(Pd::Leq(a, b)).ok())
               << "A" << i << " <= A" << j;
         }
       }
@@ -264,7 +265,8 @@ TEST(DenseModeTest, ForcedDenseMatchesNaiveOnRandomTheories) {
                                              .dense_inv_density = SIZE_MAX});
     for (int q = 0; q < 3; ++q) {
       Pd query = RandomQuery(&arena, &rng, 3, 3);
-      ASSERT_EQ(forced.Implies(query), NaivePdImplication(arena, e, query))
+      ASSERT_EQ(forced.Implies(query),
+                ProvenanceEngine(&arena, e).Prove(query).ok())
           << "set " << set << " query " << arena.ToString(query);
     }
   }

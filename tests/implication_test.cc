@@ -1,7 +1,8 @@
 // Tests for PD implication (Algorithm ALG, Section 5.2, Theorems 8-9).
 // The engine is validated four independent ways:
 //   1. hand-checked inferences from the paper's examples;
-//   2. differential testing against the literal rule-by-rule NaivePdImplication;
+//   2. differential testing against the literal rule-by-rule engine
+//      (ProvenanceEngine, core/proof.h);
 //   3. soundness against explicit finite-lattice models (if ALG says
 //      E |= delta, then every sampled lattice satisfying E satisfies delta);
 //   4. agreement with the FD closure algorithm on FPD encodings (the
@@ -17,6 +18,7 @@
 #include "core/fd_theory.h"
 #include "core/fpd.h"
 #include "core/implication.h"
+#include "core/proof.h"
 #include "lattice/expr.h"
 #include "lattice/finite_lattice.h"
 #include "lattice/whitman.h"
@@ -178,7 +180,7 @@ TEST_P(AlgDifferentialTest, EngineMatchesNaive) {
       ExprId r = RandomExpr(&arena, &rng, 3, 1 + (q + 1) % 3);
       Pd query = q % 2 == 0 ? Pd::Leq(l, r) : Pd::Eq(l, r);
       bool fast = engine.Implies(query);
-      bool slow = NaivePdImplication(arena, e, query);
+      bool slow = ProvenanceEngine(&arena, e).Prove(query).ok();
       ASSERT_EQ(fast, slow)
           << "E: " << [&] {
                std::string s;
@@ -228,7 +230,7 @@ TEST_P(DeltaClosureDifferentialTest, AllConfigurationsMatchNaive) {
     };
     std::vector<bool> expected;
     for (const Pd& q : queries) {
-      expected.push_back(NaivePdImplication(arena, e, q));
+      expected.push_back(ProvenanceEngine(&arena, e).Prove(q).ok());
     }
 
     std::size_t final_vertices = 0, final_arcs = 0;

@@ -112,6 +112,29 @@ TEST(ProofValidationTest, RejectsTamperedProofs) {
   EXPECT_FALSE(ValidateProof(arena, e, bad3).ok());
   // Tamper 4: empty proof.
   EXPECT_FALSE(ValidateProof(arena, e, Proof{}).ok());
+  // Tamper 5: reflexivity on a composite (rule 1 seeds attributes only).
+  ProofStep refl;
+  refl.lhs = refl.rhs = *arena.Parse("A*B");
+  refl.rule = ProofStep::Rule::kReflexivity;
+  EXPECT_FALSE(ValidateProof(arena, e, Proof{{refl}}).ok());
+}
+
+TEST(ProofTest, ReflexivityOnlyOnAttributes) {
+  ExprArena arena;
+  ProvenanceEngine engine(&arena, {});
+  for (const char* text : {"A*B <= A*B", "A+B <= A+B"}) {
+    Pd query = *arena.ParsePd(text);
+    auto proof = engine.Prove(query);
+    ASSERT_TRUE(proof.ok()) << text;
+    ASSERT_TRUE(ValidateProof(arena, {}, *proof).ok()) << text;
+    EXPECT_EQ(proof->goal().lhs, query.lhs);
+    EXPECT_EQ(proof->goal().rhs, query.rhs);
+    for (const ProofStep& s : proof->steps) {
+      if (s.rule == ProofStep::Rule::kReflexivity) {
+        EXPECT_TRUE(arena.IsAttr(s.lhs)) << text;
+      }
+    }
+  }
 }
 
 TEST(ProofTest, MixedOperatorProof) {

@@ -2,7 +2,7 @@
 // tiered recovery of DurablePdEngine, and a differential crash-recovery
 // sweep — random theories, a fault injected at every durable-I/O site,
 // recovery, then verdict-for-verdict comparison of the recovered closure
-// against a cold NaivePdImplication / cold-engine recompute.
+// against a cold ProvenanceEngine / cold-engine recompute.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/implication.h"
+#include "core/proof.h"
 #include "core/snapshot.h"
 #include "lattice/expr.h"
 #include "util/durable_file.h"
@@ -327,7 +328,8 @@ Pd RandPd(ExprArena* arena, Rng* rng) {
 // engine with `crash_site` armed to fire once mid-stream, drop the
 // engine wherever the fault left it, recover, finish the stream, and
 // differential-check every vertex-pair verdict against a cold engine —
-// with NaivePdImplication re-checking a sample as the ground truth.
+// with the literal ProvenanceEngine re-checking a sample as the ground
+// truth.
 void CrashRecoveryTrial(uint64_t seed, const char* crash_site,
                         const std::string& snapshot_path,
                         const std::string& journal_path) {
@@ -405,8 +407,9 @@ void CrashRecoveryTrial(uint64_t seed, const char* crash_site,
                               << j << ")";
       // Sampled ground-truth re-check against the literal rule engine.
       if (++checked % 97 == 0) {
-        EXPECT_EQ(warm,
-                  NaivePdImplication(arena, full, Pd::Leq(verts[i], verts[j])));
+        EXPECT_EQ(warm, ProvenanceEngine(&arena, full)
+                            .Prove(Pd::Leq(verts[i], verts[j]))
+                            .ok());
       }
     }
   }
