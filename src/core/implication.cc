@@ -650,79 +650,11 @@ Status PdImplicationEngine::AddConstraint(const Pd& pd,
 
 Result<PdImplicationEngine::EngineClosureState>
 PdImplicationEngine::ExportClosureState() const {
-  EngineClosureState state;
-  state.arc_count = arc_count_;
-  state.seeded_vertices = seeded_vertices_;
-  state.closure_valid = closure_valid_;
-  state.pending_constraints = pending_constraints_;
-  // Only the seeded prefix has rows; vertices beyond it carry no closure
-  // state yet (their seeding re-runs after restore).
-  state.up.assign(up_.begin(), up_.begin() + seeded_vertices_);
-  state.delta_up.assign(delta_up_.begin(),
-                        delta_up_.begin() + seeded_vertices_);
-  return state;
-}
-
-Status PdImplicationEngine::RestoreClosureState(EngineClosureState state) {
-  // Validate before touching anything: a snapshot is an untrusted
-  // artifact (its checksums prove the bytes, not the semantics).
-  const std::size_t m = state.seeded_vertices;
-  if (m > vertices_.size()) {
+  if (!closure_valid_) {
     return Status::FailedPrecondition(
-        "closure state covers " + std::to_string(m) +
-        " vertices but the engine has only " +
-        std::to_string(vertices_.size()));
+        "closure is not closed; Prepare the engine before exporting it");
   }
-  if (state.up.size() != m || state.delta_up.size() != m) {
-    return Status::DataLoss("closure state row count mismatch");
-  }
-  uint64_t audit = 0;
-  bool any_delta = false;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (state.up[i].size() != m || state.delta_up[i].size() != m) {
-      return Status::DataLoss("closure state row width mismatch");
-    }
-    if (!state.delta_up[i].IsSubsetOf(state.up[i])) {
-      return Status::DataLoss("closure state frontier not within arcs");
-    }
-    audit += state.up[i].Count();
-    any_delta |= state.delta_up[i].Any();
-  }
-  if (audit != state.arc_count) {
-    return Status::DataLoss("closure state arc count mismatch");
-  }
-  if (state.closure_valid && (any_delta || !state.pending_constraints.empty())) {
-    return Status::DataLoss("closure state marked valid with pending work");
-  }
-  for (const Pd& pd : state.pending_constraints) {
-    if (!vertex_of_.count(pd.lhs) || !vertex_of_.count(pd.rhs)) {
-      return Status::DataLoss("pending constraint over unknown vertex");
-    }
-  }
-
-  up_ = std::move(state.up);
-  delta_up_ = std::move(state.delta_up);
-  arc_count_ = state.arc_count;
-  seeded_vertices_ = m;
-  pending_constraints_ = std::move(state.pending_constraints);
-  // Rebuild the derived structures. dirty = rows with a nonempty
-  // frontier; down = transpose of the consumed arcs (up & ~delta).
-  dirty_rows_ = DynamicBitset(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (delta_up_[i].Any()) dirty_rows_.Set(i);
-  }
-  down_.assign(m, DynamicBitset(m));
-  DynamicBitset consumed(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    consumed.AndNot(up_[i], delta_up_[i]);
-    consumed.ForEach([&](std::size_t j) { down_[j].Set(i); });
-  }
-  // Vertices beyond the seeded prefix (if the caller Prepared extra
-  // expressions before restoring) re-seed at the next closure.
-  closure_valid_ = state.closure_valid && m == vertices_.size();
-  lru_.clear();
-  cache_.clear();
-  return Status::OK();
+  return EngineClosureState{up_, arc_count_};
 }
 
 Status PdImplicationEngine::RestoreEngineState(
@@ -732,7 +664,23 @@ Status PdImplicationEngine::RestoreEngineState(
     return Status::FailedPrecondition(
         "RestoreEngineState requires a freshly constructed engine");
   }
-  for (std::size_t i = 0; i < vertex_order.size(); ++i) {
+  // Validate before installing anything: a snapshot is an untrusted
+  // artifact (its checksums prove the bytes, not the semantics).
+  const std::size_t n = vertex_order.size();
+  if (state.up.size() != n) {
+    return Status::DataLoss("closure state row count mismatch");
+  }
+  uint64_t audit = 0;
+  for (const DynamicBitset& row : state.up) {
+    if (row.size() != n) {
+      return Status::DataLoss("closure state row width mismatch");
+    }
+    audit += row.Count();
+  }
+  if (audit != state.arc_count) {
+    return Status::DataLoss("closure state arc count mismatch");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
     AddVertex(vertex_order[i]);
     // AddVertex assigns index i exactly when the order is children-first
     // and duplicate-free; anything else is a malformed snapshot.
@@ -746,7 +694,19 @@ Status PdImplicationEngine::RestoreEngineState(
     }
   }
   constraints_ = std::move(constraints);
-  return RestoreClosureState(std::move(state));
+  up_ = std::move(state.up);
+  arc_count_ = state.arc_count;
+  // Closed: every arc is consumed, so the frontier and worklist are empty
+  // and down_ is the full transpose of up_.
+  delta_up_.assign(n, DynamicBitset(n));
+  dirty_rows_ = DynamicBitset(n);
+  down_.assign(n, DynamicBitset(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    up_[i].ForEach([&](std::size_t j) { down_[j].Set(i); });
+  }
+  seeded_vertices_ = n;
+  closure_valid_ = true;
+  return Status::OK();
 }
 
 bool PdImplicationEngine::LeqInClosure(ExprId e1, ExprId e2) const {

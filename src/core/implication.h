@@ -189,49 +189,36 @@ class PdImplicationEngine {
   const EngineOptions& options() const { return options_; }
   /// V in insertion order (children before parents). Index i here is the
   /// row/column index of the arc matrices — the order a snapshot must
-  /// reproduce for RestoreClosureState.
+  /// reproduce for RestoreEngineState.
   const std::vector<ExprId>& vertices() const { return vertices_; }
 
-  /// The engine's closure state, detached from any particular process:
-  /// everything the semi-naive fixpoint needs to resume — the arc rows,
-  /// the unconsumed frontier, the exact arc counter, how far seeding got,
-  /// and any constraints accepted but not yet closed over. dirty_rows_
-  /// and down_ are deliberately absent: both are derivable (dirty = rows
-  /// with a nonempty delta; down = transpose of the consumed arcs).
+  /// A closed closure, detached from any particular process: one arc row
+  /// per vertex of V (in vertices() order, each |V| bits wide) and the
+  /// exact arc count, which restore audits against the rows' popcount.
+  /// By Lemma 9.2 the closed rows are the whole of what E implies over V,
+  /// so nothing of a half-finished closure is worth persisting; down_,
+  /// the frontier and the dirty worklist are derived or empty.
   struct EngineClosureState {
     std::vector<DynamicBitset> up;
-    std::vector<DynamicBitset> delta_up;
     uint64_t arc_count = 0;
-    uint64_t seeded_vertices = 0;
-    bool closure_valid = false;
-    std::vector<Pd> pending_constraints;
   };
 
-  /// Copies out the closure state for snapshotting. Callable at rest or
-  /// mid-abort (a partial closure is a sound warm start); fails with
-  /// kFailedPrecondition only if no closure was ever started while V is
-  /// nonempty in a way the state cannot express (seeding got ahead of V
-  /// is impossible; V ahead of seeding simply exports the seeded prefix).
+  /// Copies out the closure for snapshotting. kFailedPrecondition unless
+  /// the closure is current (call Prepare first): a snapshot only ever
+  /// holds a closed closure.
   Result<EngineClosureState> ExportClosureState() const;
 
-  /// Replaces the engine's closure state with `state`, after verifying it
-  /// is internally consistent with this engine's V (row count and widths
-  /// match seeded_vertices, delta ⊆ up per row, arc_count == |up|,
-  /// closure_valid implies an empty frontier). The engine's V must
-  /// already cover at least `state.seeded_vertices` vertices in the
-  /// exported order. Rebuilds the derived structures (dirty worklist,
-  /// down_ transpose) and drops the query cache. On any validation
-  /// failure the engine is left untouched and kDataLoss /
-  /// kFailedPrecondition is returned.
-  Status RestoreClosureState(EngineClosureState state);
-
   /// Full restore for a freshly constructed engine (built with an empty
-  /// constraint list): re-adds `vertex_order` verbatim — valid whenever
-  /// the order is children-first, which vertices() guarantees — installs
-  /// `constraints` as E, then applies RestoreClosureState. The one entry
-  /// point snapshot recovery needs: it reproduces the exact row indices
-  /// of the engine that was snapshotted, including vertices introduced by
-  /// queries rather than constraints.
+  /// constraint list), and the one entry point snapshot recovery needs.
+  /// Verifies `state` first — one row per vertex of `vertex_order`, every
+  /// row that wide, popcount == arc_count — then re-adds `vertex_order`
+  /// verbatim (valid whenever the order is children-first, which
+  /// vertices() guarantees, so the restored rows keep their indices,
+  /// query-introduced vertices included), installs `constraints` as E,
+  /// and installs the rows as a closed closure with an empty frontier and
+  /// down_ rebuilt as their transpose. kDataLoss on malformed input (the
+  /// engine should then be discarded); kFailedPrecondition if the engine
+  /// already has vertices.
   Status RestoreEngineState(const std::vector<ExprId>& vertex_order,
                             std::vector<Pd> constraints,
                             EngineClosureState state);

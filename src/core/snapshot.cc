@@ -1,25 +1,24 @@
 #include "core/snapshot.h"
 
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 namespace psem {
 
 namespace {
 
-constexpr uint32_t kSnapshotVersion = 1;
+constexpr uint32_t kSnapshotVersion = 2;
 
 constexpr uint32_t kTagMeta = ChunkTag("META");
 constexpr uint32_t kTagAttrs = ChunkTag("ATTR");
 constexpr uint32_t kTagVertices = ChunkTag("VERT");
 constexpr uint32_t kTagConstraints = ChunkTag("CONS");
 constexpr uint32_t kTagRows = ChunkTag("ROWS");
-constexpr uint32_t kTagDeltas = ChunkTag("DLTA");
 
 constexpr std::size_t kMaxAttrNameLen = 4096;
 
-constexpr uint8_t kConsEquation = 1;  // CONS flag bits
-constexpr uint8_t kConsPending = 2;
+constexpr uint8_t kConsEquation = 1;  // the one CONS flag bit
 
 std::size_t WordsFor(std::size_t bits) { return (bits + 63) / 64; }
 
@@ -92,50 +91,27 @@ Result<std::string> EncodeSnapshot(const PdImplicationEngine& engine,
   attrs.U32(static_cast<uint32_t>(attr_order.size()));
   for (AttrId a : attr_order) attrs.Str(arena.AttrName(a));
 
-  // CONS: E as vertex-index pairs; pending = accepted but not yet closed
-  // over (snapshot taken between AddConstraint and the next closure).
+  // CONS: E as vertex-index pairs.
   ByteWriter cons;
   cons.U32(static_cast<uint32_t>(engine.constraints().size()));
   for (const Pd& pd : engine.constraints()) {
-    uint8_t flags = pd.is_equation ? kConsEquation : 0;
-    for (const Pd& p : state.pending_constraints) {
-      if (p == pd) {
-        flags |= kConsPending;
-        break;
-      }
-    }
     cons.U32(index_of.at(pd.lhs));
     cons.U32(index_of.at(pd.rhs));
-    cons.U8(flags);
+    cons.U8(pd.is_equation ? kConsEquation : 0);
   }
 
-  // ROWS: the dense arc matrix of the seeded prefix, row-major words.
-  // DLTA: only the nonempty frontier rows (usually none at rest).
-  const std::size_t m = state.up.size();
-  const std::size_t words = WordsFor(m);
+  // ROWS: the closed arc matrix, |V| rows of ⌈|V|/64⌉ words, row-major.
+  const std::size_t words = WordsFor(vertices.size());
   ByteWriter rows;
   for (const DynamicBitset& row : state.up) {
     for (std::size_t k = 0; k < words; ++k) rows.U64(row.word(k));
-  }
-  ByteWriter deltas;
-  uint32_t nonempty = 0;
-  for (const DynamicBitset& row : state.delta_up) {
-    if (row.Any()) ++nonempty;
-  }
-  deltas.U32(nonempty);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (!state.delta_up[i].Any()) continue;
-    deltas.U32(static_cast<uint32_t>(i));
-    for (std::size_t k = 0; k < words; ++k) deltas.U64(state.delta_up[i].word(k));
   }
 
   ByteWriter meta;
   meta.U32(kSnapshotVersion);
   meta.U64(base_fingerprint);
   meta.U64(state.arc_count);
-  meta.U64(state.seeded_vertices);
   meta.U64(vertices.size());
-  meta.U8(state.closure_valid ? 1 : 0);
 
   std::vector<Chunk> chunks;
   chunks.push_back(Chunk{kTagMeta, meta.Take()});
@@ -143,7 +119,6 @@ Result<std::string> EncodeSnapshot(const PdImplicationEngine& engine,
   chunks.push_back(Chunk{kTagVertices, vert.Take()});
   chunks.push_back(Chunk{kTagConstraints, cons.Take()});
   chunks.push_back(Chunk{kTagRows, rows.Take()});
-  chunks.push_back(Chunk{kTagDeltas, deltas.Take()});
   return EncodeChunkContainer(kSnapshotVersion, chunks);
 }
 
@@ -159,11 +134,11 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
     return Status::DataLoss("unsupported snapshot version " +
                             std::to_string(container.version));
   }
-  const std::string* payloads[6] = {};
-  const uint32_t tags[6] = {kTagMeta,        kTagAttrs, kTagVertices,
-                            kTagConstraints, kTagRows,  kTagDeltas};
+  const std::string* payloads[5] = {};
+  const uint32_t tags[5] = {kTagMeta, kTagAttrs, kTagVertices,
+                            kTagConstraints, kTagRows};
   for (const Chunk& c : container.chunks) {
-    for (int t = 0; t < 6; ++t) {
+    for (int t = 0; t < 5; ++t) {
       if (c.tag != tags[t]) continue;
       if (payloads[t] != nullptr) {
         return Status::DataLoss("duplicate snapshot chunk");
@@ -171,7 +146,7 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
       payloads[t] = &c.payload;
     }
   }
-  for (int t = 0; t < 6; ++t) {
+  for (int t = 0; t < 5; ++t) {
     if (payloads[t] == nullptr) {
       return Status::DataLoss("missing snapshot chunk");
     }
@@ -181,20 +156,14 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
 
   ByteReader meta(*payloads[0]);
   uint32_t snap_version = 0;
-  uint64_t seeded = 0, n_vertices = 0;
-  uint8_t closure_valid = 0;
+  uint64_t n_vertices = 0;
   meta.U32(&snap_version);
   meta.U64(&snap.base_fingerprint);
   meta.U64(&snap.state.arc_count);
-  meta.U64(&seeded);
   meta.U64(&n_vertices);
-  meta.U8(&closure_valid);
-  if (!meta.ok() || !meta.AtEnd() || snap_version != kSnapshotVersion ||
-      closure_valid > 1 || seeded > n_vertices) {
+  if (!meta.ok() || !meta.AtEnd() || snap_version != kSnapshotVersion) {
     return Status::DataLoss("malformed snapshot META chunk");
   }
-  snap.state.seeded_vertices = seeded;
-  snap.state.closure_valid = closure_valid != 0;
 
   // ATTR: the attribute name table.
   ByteReader attrs(*payloads[1]);
@@ -218,7 +187,9 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
 
   // VERT: rebuild V children-first; every child index must be < i, which
   // both bounds the recursion and re-proves the children-first order the
-  // engine requires.
+  // engine requires. An entry that interns to an earlier vertex (an
+  // attribute listed twice, a duplicate ATTR name, a repeated composite)
+  // would shift every later row index, so it is corruption too.
   ByteReader vert(*payloads[2]);
   uint32_t vcount = 0;
   if (!vert.U32(&vcount) || vcount != n_vertices ||
@@ -226,6 +197,8 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
     return Status::DataLoss("malformed snapshot VERT chunk");
   }
   snap.vertices.reserve(vcount);
+  std::unordered_set<ExprId> seen;
+  seen.reserve(vcount);
   for (uint32_t i = 0; i < vcount; ++i) {
     uint8_t kind = 0;
     if (!vert.U8(&kind)) return Status::DataLoss("truncated snapshot vertex");
@@ -248,12 +221,15 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
     } else {
       return Status::DataLoss("snapshot vertex has unknown kind");
     }
+    if (!seen.insert(snap.vertices.back()).second) {
+      return Status::DataLoss("snapshot vertex listed twice");
+    }
   }
   if (!vert.AtEnd()) {
     return Status::DataLoss("trailing bytes in snapshot VERT chunk");
   }
 
-  // CONS: E (and which of it is still pending) as vertex-index pairs.
+  // CONS: E as vertex-index pairs.
   ByteReader cons(*payloads[3]);
   uint32_t ccount = 0;
   if (!cons.U32(&ccount) ||
@@ -265,7 +241,7 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
     uint32_t l = 0, r = 0;
     uint8_t flags = 0;
     if (!cons.U32(&l) || !cons.U32(&r) || !cons.U8(&flags) || l >= vcount ||
-        r >= vcount || (flags & ~(kConsEquation | kConsPending)) != 0) {
+        r >= vcount || (flags & ~kConsEquation) != 0) {
       return Status::DataLoss("malformed snapshot constraint");
     }
     Pd pd;
@@ -273,23 +249,24 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
     pd.rhs = snap.vertices[r];
     pd.is_equation = (flags & kConsEquation) != 0;
     snap.constraints.push_back(pd);
-    if (flags & kConsPending) snap.state.pending_constraints.push_back(pd);
   }
   if (!cons.AtEnd()) {
     return Status::DataLoss("trailing bytes in snapshot CONS chunk");
   }
 
-  // ROWS / DLTA: the arc matrix and frontier of the seeded prefix.
-  // set_word rejects stray tail bits — a bit flip past position m-1 in
-  // the last word must read as corruption, not silently vanish.
-  const std::size_t m = static_cast<std::size_t>(seeded);
-  const std::size_t words = WordsFor(m);
+  // ROWS: the closed arc matrix over all of V. set_word rejects stray
+  // tail bits — a bit flip past position n-1 in the last word must read
+  // as corruption, not silently vanish — and the popcount must match
+  // META's arc count, the same audit restore runs.
+  const std::size_t n = vcount;
+  const std::size_t words = WordsFor(n);
   ByteReader rows(*payloads[4]);
-  if (rows.remaining() != m * words * 8) {
+  if (rows.remaining() != n * words * 8) {
     return Status::DataLoss("snapshot ROWS chunk has wrong size");
   }
-  snap.state.up.assign(m, DynamicBitset(m));
-  for (std::size_t i = 0; i < m; ++i) {
+  snap.state.up.assign(n, DynamicBitset(n));
+  uint64_t arcs = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t k = 0; k < words; ++k) {
       uint64_t w = 0;
       rows.U64(&w);
@@ -297,30 +274,11 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
         return Status::DataLoss("snapshot row has bits beyond the universe");
       }
     }
+    arcs += snap.state.up[i].Count();
   }
-
-  ByteReader deltas(*payloads[5]);
-  uint32_t dcount = 0;
-  if (!deltas.U32(&dcount) || dcount > m ||
-      deltas.remaining() != static_cast<uint64_t>(dcount) * (4 + words * 8)) {
-    return Status::DataLoss("malformed snapshot DLTA chunk");
-  }
-  snap.state.delta_up.assign(m, DynamicBitset(m));
-  uint32_t prev_row = 0;
-  for (uint32_t d = 0; d < dcount; ++d) {
-    uint32_t row = 0;
-    deltas.U32(&row);
-    if (row >= m || (d > 0 && row <= prev_row)) {
-      return Status::DataLoss("snapshot DLTA rows out of order");
-    }
-    prev_row = row;
-    for (std::size_t k = 0; k < words; ++k) {
-      uint64_t w = 0;
-      deltas.U64(&w);
-      if (!snap.state.delta_up[row].set_word(k, w)) {
-        return Status::DataLoss("snapshot delta has bits beyond the universe");
-      }
-    }
+  if (arcs != snap.state.arc_count) {
+    return Status::DataLoss(
+        "snapshot ROWS popcount differs from META arc count");
   }
   return snap;
 }
@@ -452,7 +410,9 @@ Status DurablePdEngine::Checkpoint(const ExecContext& ctx) {
     return last_checkpoint_status_ =
                Status::FailedPrecondition("no snapshot path configured");
   }
-  Status st = ctx.Check();
+  // A snapshot holds only a closed closure: close first, and write
+  // nothing if that trips (the previous snapshot stays as it was).
+  Status st = engine_->Prepare({}, ctx);
   if (st.ok()) {
     auto bytes = EncodeSnapshot(*engine_, base_fingerprint_);
     st = bytes.ok() ? AtomicWriteFile(options_.snapshot_path, *bytes)

@@ -9,9 +9,10 @@
 //    to rebuild a PdImplicationEngine in a fresh process: the attribute
 //    name table, V serialized structurally (kind + child indices, valid
 //    across processes where raw ExprIds are not), E as vertex-index
-//    pairs, and the engine's closure state (arc rows, unconsumed
-//    frontier, exact arc counter). Written atomically, so a crash during
-//    checkpointing never damages the previous snapshot.
+//    pairs, and the engine's closed closure (arc rows plus the exact arc
+//    count). Only a closed closure is ever written: Checkpoint closes the
+//    engine first. Written atomically, so a crash during checkpointing
+//    never damages the previous snapshot.
 //
 //  * Journal — a write-ahead log of the PD constraints accepted after the
 //    base theory, one record per PD, fsynced before the constraint is
@@ -98,7 +99,8 @@ struct DecodedSnapshot {
 };
 
 /// Serializes an engine (plus the fingerprint of its base theory) into
-/// chunk-container bytes. Callable at rest or mid-abort.
+/// chunk-container bytes. kFailedPrecondition unless the engine's closure
+/// is current (Prepare it first).
 Result<std::string> EncodeSnapshot(const PdImplicationEngine& engine,
                                    uint64_t base_fingerprint);
 
@@ -127,11 +129,11 @@ struct DurabilityOptions {
 /// Write path: AddPd journals the constraint (fsync) BEFORE applying it —
 /// an acknowledged constraint survives any later crash — then applies it
 /// through the engine's incremental path and, every checkpoint_every
-/// acceptances, rewrites the snapshot. Checkpoint failures (deadline,
-/// injected I/O fault, full disk) never fail AddPd: the journal already
-/// holds the record, so durability is preserved and only the next
-/// recovery's warm-start quality degrades; the error is retained in
-/// last_checkpoint_status().
+/// acceptances, rewrites the snapshot. Checkpoint failures (a closure
+/// trip, deadline, injected I/O fault, full disk) never fail AddPd: the
+/// journal already holds the record, so durability is preserved and only
+/// the next recovery's warm-start quality degrades; the error is retained
+/// in last_checkpoint_status().
 class DurablePdEngine {
  public:
   /// Recovers (or cold-starts) an engine for `base` + whatever the
@@ -147,8 +149,10 @@ class DurablePdEngine {
   /// constraint is then NOT applied and may be retried.
   Status AddPd(const Pd& pd, const ExecContext& ctx);
 
-  /// Writes a snapshot now. kFailedPrecondition when no snapshot_path is
-  /// configured.
+  /// Closes the engine under `ctx` (Prepare), then writes a snapshot of
+  /// the closed closure. If the closure trips, returns that status and
+  /// writes nothing, so the previous snapshot stays byte-identical.
+  /// kFailedPrecondition when no snapshot_path is configured.
   Status Checkpoint(const ExecContext& ctx);
 
   PdImplicationEngine& engine() { return *engine_; }

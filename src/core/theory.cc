@@ -10,8 +10,7 @@ Status PdTheory::AddParsed(std::string_view text) {
 
 PdImplicationEngine& PdTheory::engine() {
   if (!engine_) {
-    engine_ = std::make_unique<PdImplicationEngine>(arena_.get(), pds_,
-                                                    engine_options_);
+    engine_ = std::make_unique<PdImplicationEngine>(arena_.get(), pds_);
   }
   return *engine_;
 }

@@ -52,14 +52,6 @@ class PdTheory {
 
   const std::vector<Pd>& pds() const { return pds_; }
 
-  /// Engine tuning (query-cache size, sparse/dense switch). Takes effect
-  /// on the next engine (re)build; call before the first query for full
-  /// effect.
-  void SetEngineOptions(const EngineOptions& options) {
-    engine_options_ = options;
-    engine_.reset();
-  }
-
   /// E |= query over lattices = over finite lattices = over relations =
   /// over finite relations (Theorem 8), decided in polynomial time
   /// (Theorem 9).
@@ -111,7 +103,6 @@ class PdTheory {
  private:
   std::unique_ptr<ExprArena> arena_;
   std::vector<Pd> pds_;
-  EngineOptions engine_options_;
   std::unique_ptr<PdImplicationEngine> engine_;
 };
 

@@ -83,61 +83,6 @@ class DynamicBitset {
     return changed;
   }
 
-  /// In-place union with (a AND b); returns true iff this changed.
-  bool UnionWithAnd(const DynamicBitset& a, const DynamicBitset& b) {
-    assert(num_bits_ == a.num_bits_ && num_bits_ == b.num_bits_);
-    bool changed = false;
-    for (std::size_t k = 0; k < words_.size(); ++k) {
-      uint64_t before = words_[k];
-      words_[k] |= (a.words_[k] & b.words_[k]);
-      changed |= (words_[k] != before);
-    }
-    return changed;
-  }
-
-  /// Clears every bit at position >= `from` (bit-exact at the boundary).
-  void ClearFrom(std::size_t from) {
-    if (from >= num_bits_) return;
-    std::size_t word = from >> 6;
-    words_[word] &= (uint64_t{1} << (from & 63)) - 1;
-    for (std::size_t k = word + 1; k < words_.size(); ++k) words_[k] = 0;
-  }
-
-  /// In-place union restricted to bits at position >= `from`; returns
-  /// true iff this changed. Used by the incremental ALG closure, where
-  /// only the new-vertex tail of an old row may legally change.
-  bool UnionWithFrom(const DynamicBitset& other, std::size_t from) {
-    assert(num_bits_ == other.num_bits_);
-    if (from >= num_bits_) return false;
-    bool changed = false;
-    std::size_t word = from >> 6;
-    uint64_t mask = ~((uint64_t{1} << (from & 63)) - 1);
-    for (std::size_t k = word; k < words_.size(); ++k) {
-      uint64_t before = words_[k];
-      words_[k] |= other.words_[k] & mask;
-      changed |= (words_[k] != before);
-      mask = ~uint64_t{0};
-    }
-    return changed;
-  }
-
-  /// In-place union with (a AND b), restricted to bits >= `from`.
-  bool UnionWithAndFrom(const DynamicBitset& a, const DynamicBitset& b,
-                        std::size_t from) {
-    assert(num_bits_ == a.num_bits_ && num_bits_ == b.num_bits_);
-    if (from >= num_bits_) return false;
-    bool changed = false;
-    std::size_t word = from >> 6;
-    uint64_t mask = ~((uint64_t{1} << (from & 63)) - 1);
-    for (std::size_t k = word; k < words_.size(); ++k) {
-      uint64_t before = words_[k];
-      words_[k] |= (a.words_[k] & b.words_[k]) & mask;
-      changed |= (words_[k] != before);
-      mask = ~uint64_t{0};
-    }
-    return changed;
-  }
-
   /// In-place union that also reports what changed: returns the number of
   /// bits newly set, and (when `newly` is non-null) ORs exactly those bits
   /// into *newly. One scan — OR plus popcount of the difference — and words
@@ -191,15 +136,6 @@ class DynamicBitset {
     for (std::size_t k = 0; k < words_.size(); ++k) words_[k] |= other.words_[k];
   }
 
-  /// this = a AND NOT b. All three must share a universe (this included —
-  /// AndNot overwrites the contents, not the size).
-  void AndNot(const DynamicBitset& a, const DynamicBitset& b) {
-    assert(num_bits_ == a.num_bits_ && num_bits_ == b.num_bits_);
-    for (std::size_t k = 0; k < words_.size(); ++k) {
-      words_[k] = a.words_[k] & ~b.words_[k];
-    }
-  }
-
   // Word-span iteration: the 64-bit backing words, for kernels (like the
   // blocked dense closure sweep) that want to walk set bits a word at a
   // time instead of via NextSetBit.
@@ -223,22 +159,6 @@ class DynamicBitset {
     return true;
   }
 
-  /// Smallest half-open word range [*lo, *hi) containing every nonzero
-  /// word, or false (lo == hi == 0) when the set is empty.
-  bool NonZeroWordSpan(std::size_t* lo, std::size_t* hi) const {
-    std::size_t first = 0;
-    while (first < words_.size() && words_[first] == 0) ++first;
-    if (first == words_.size()) {
-      *lo = *hi = 0;
-      return false;
-    }
-    std::size_t last = words_.size();
-    while (words_[last - 1] == 0) --last;
-    *lo = first;
-    *hi = last;
-    return true;
-  }
-
   /// In-place intersection.
   void IntersectWith(const DynamicBitset& other) {
     assert(num_bits_ == other.num_bits_);
@@ -257,13 +177,6 @@ class DynamicBitset {
     for (std::size_t k = 0; k < words_.size(); ++k)
       if (words_[k] & ~other.words_[k]) return false;
     return true;
-  }
-
-  bool Intersects(const DynamicBitset& other) const {
-    assert(num_bits_ == other.num_bits_);
-    for (std::size_t k = 0; k < words_.size(); ++k)
-      if (words_[k] & other.words_[k]) return true;
-    return false;
   }
 
   bool operator==(const DynamicBitset& other) const {

@@ -313,7 +313,7 @@ Journal::~Journal() {
 }
 
 Result<Journal> Journal::Open(const std::string& path,
-                              const DurableLimits& limits, bool repair_tail) {
+                              const DurableLimits& limits) {
   Journal j;
   j.path_ = path;
   j.limits_ = limits;
@@ -347,7 +347,7 @@ Result<Journal> Journal::Open(const std::string& path,
     if (!st.ok()) return st;
     j.recovered_ = JournalContents{};
     j.recovered_.valid_bytes = w.data().size();
-  } else if (repair_tail && j.recovered_.tail_truncated) {
+  } else if (j.recovered_.tail_truncated) {
     if (::ftruncate(fd, static_cast<off_t>(j.recovered_.valid_bytes)) != 0) {
       return ErrnoStatus("ftruncate", path);
     }
@@ -391,19 +391,6 @@ Status Journal::Append(std::string_view payload) {
     return st;
   }
   end_offset_ += w.data().size();
-  return Status::OK();
-}
-
-Status Journal::Reset() {
-  if (fd_ < 0) return Status::FailedPrecondition("journal is not open");
-  const std::size_t header = sizeof(kJournalMagic) + 4;
-  if (::ftruncate(fd_, static_cast<off_t>(header)) != 0) {
-    return ErrnoStatus("ftruncate", path_);
-  }
-  if (PSEM_FAILPOINT(failpoints::kIoFsync) || ::fsync(fd_) != 0) {
-    return Status::IoError("fsync failed for '" + path_ + "'");
-  }
-  end_offset_ = header;
   return Status::OK();
 }
 

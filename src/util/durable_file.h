@@ -230,9 +230,11 @@ struct JournalContents {
 Result<JournalContents> ParseJournalBytes(std::string_view bytes,
                                           const DurableLimits& limits = {});
 
-/// Append-only write-ahead journal. Open replays (and, by default,
-/// physically truncates) the torn tail; Append fsyncs before returning
-/// so an acknowledged record survives any later crash.
+/// Append-only write-ahead journal. Open replays (and physically
+/// truncates) the torn tail; Append fsyncs before returning so an
+/// acknowledged record survives any later crash. The journal is never
+/// truncated below its valid records: it is the source of truth that
+/// makes a corrupt snapshot survivable.
 class Journal {
  public:
   Journal() = default;
@@ -243,11 +245,10 @@ class Journal {
   ~Journal();
 
   /// Opens (creating if absent) the journal at `path`. Existing records
-  /// are scanned into contents(); a torn tail is truncated on disk when
-  /// `repair_tail` (the default) so later appends extend a valid prefix.
+  /// are scanned into recovered(); a torn tail is truncated on disk so
+  /// later appends extend a valid prefix.
   static Result<Journal> Open(const std::string& path,
-                              const DurableLimits& limits = {},
-                              bool repair_tail = true);
+                              const DurableLimits& limits = {});
 
   /// Records recovered by Open (not updated by Append).
   const JournalContents& recovered() const { return recovered_; }
@@ -258,10 +259,6 @@ class Journal {
   /// the caller may simply retry; if even the rollback fails, the next
   /// Open's tail repair restores the same invariant.
   Status Append(std::string_view payload);
-
-  /// Truncates the journal back to a bare header (after a checkpoint has
-  /// made its records redundant). Fsynced.
-  Status Reset();
 
   const std::string& path() const { return path_; }
   bool is_open() const { return fd_ >= 0; }

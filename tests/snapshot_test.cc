@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -120,6 +122,126 @@ TEST_F(SnapshotTest, DecodeRejectsCorruptBytes) {
       EXPECT_FALSE(r.ok()) << "flip at " << pos;
       EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << "flip at " << pos;
     }
+  }
+}
+
+// A snapshot holds only a closed closure: an engine with a constraint it
+// has not yet closed over has nothing to export.
+TEST_F(SnapshotTest, EncodeRequiresClosedEngine) {
+  ExprArena arena;
+  auto base = BaseTheory(&arena);
+  PdImplicationEngine engine(&arena, base);
+  engine.Implies(*arena.ParsePd("A*B <= D+E"));
+  engine.AddConstraint(*arena.ParsePd("E <= A"));
+  auto bytes = EncodeSnapshot(engine, TheoryFingerprint(arena, base));
+  ASSERT_FALSE(bytes.ok());
+  EXPECT_EQ(bytes.status().code(), StatusCode::kFailedPrecondition);
+  engine.Prepare({});
+  EXPECT_TRUE(EncodeSnapshot(engine, TheoryFingerprint(arena, base)).ok());
+}
+
+// The version-2 chunks of a snapshot over attribute-only vertices, laid
+// out by hand: ATTR lists `attrs`, VERT lists `vert` (indices into
+// `attrs`), E is empty, ROWS is the identity (every vertex <= itself),
+// and META claims `arc_count` arcs.
+std::string HandBuiltSnapshot(const std::vector<std::string>& attrs,
+                              const std::vector<uint32_t>& vert,
+                              uint64_t arc_count) {
+  ByteWriter meta, attr, verts, cons, rows;
+  meta.U32(2);
+  meta.U64(TheoryFingerprint(ExprArena(), {}));
+  meta.U64(arc_count);
+  meta.U64(vert.size());
+  attr.U32(static_cast<uint32_t>(attrs.size()));
+  for (const std::string& a : attrs) attr.Str(a);
+  verts.U32(static_cast<uint32_t>(vert.size()));
+  for (uint32_t a : vert) {
+    verts.U8(static_cast<uint8_t>(ExprKind::kAttr));
+    verts.U32(a);
+  }
+  cons.U32(0);
+  const std::size_t n = vert.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < (n + 63) / 64; ++k) {
+      rows.U64(k == i / 64 ? uint64_t{1} << (i % 64) : 0);
+    }
+  }
+  return EncodeChunkContainer(
+      2, {Chunk{ChunkTag("META"), meta.Take()},
+          Chunk{ChunkTag("ATTR"), attr.Take()},
+          Chunk{ChunkTag("VERT"), verts.Take()},
+          Chunk{ChunkTag("CONS"), cons.Take()},
+          Chunk{ChunkTag("ROWS"), rows.Take()}});
+}
+
+Status DecodeAndRestore(const std::string& bytes) {
+  ExprArena arena;
+  PSEM_ASSIGN_OR_RETURN(DecodedSnapshot snap, DecodeSnapshot(bytes, &arena));
+  PdImplicationEngine engine(&arena, {});
+  return engine.RestoreEngineState(snap.vertices, std::move(snap.constraints),
+                                   std::move(snap.state));
+}
+
+// Anything DecodeSnapshot accepts, a fresh engine's RestoreEngineState
+// must accept too (the fuzz_snapshot contract): the decoder rejects the
+// two layouts the engine would refuse.
+TEST_F(SnapshotTest, DecodeRejectsWhatRestoreRejects) {
+  // Control: the builder's well-formed output decodes and restores.
+  Status control = DecodeAndRestore(HandBuiltSnapshot({"A", "B"}, {0, 1}, 2));
+  ASSERT_TRUE(control.ok()) << control.ToString();
+
+  ExprArena arena;
+  // VERT lists attribute A twice: the second entry would take row 1 of a
+  // vertex restore has already placed at row 0.
+  auto dup = DecodeSnapshot(HandBuiltSnapshot({"A"}, {0, 0}, 2), &arena);
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(dup.status().message().find("listed twice"), std::string::npos)
+      << dup.status().ToString();
+  // The same vertex reached through a duplicate ATTR name.
+  auto dup_name =
+      DecodeSnapshot(HandBuiltSnapshot({"A", "A"}, {0, 1}, 2), &arena);
+  ASSERT_FALSE(dup_name.ok());
+  EXPECT_NE(dup_name.status().message().find("listed twice"),
+            std::string::npos)
+      << dup_name.status().ToString();
+
+  // META claims 5 arcs over ROWS holding 2.
+  auto arcs = DecodeSnapshot(HandBuiltSnapshot({"A", "B"}, {0, 1}, 5), &arena);
+  ASSERT_FALSE(arcs.ok());
+  EXPECT_EQ(arcs.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(arcs.status().message().find("arc count"), std::string::npos)
+      << arcs.status().ToString();
+}
+
+// The committed fuzz seeds must stay on the current format: the valid seed
+// decodes and restores, and each damaged seed is rejected for its damage,
+// not for its version. A format bump that forgets to regenerate them
+// fails here instead of leaving the fuzz job running stale seeds.
+TEST_F(SnapshotTest, CommittedFuzzSeedsMatchTheFormat) {
+  auto read = [](const std::string& name) {
+    std::ifstream in(std::string(PSEM_SNAPSHOT_CORPUS_DIR) + "/" + name,
+                     std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+  };
+  const std::string valid = read("valid_snapshot");
+  ASSERT_FALSE(valid.empty());
+  Status st = DecodeAndRestore(valid);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  for (const char* name :
+       {"bitflipped_snapshot", "truncated_snapshot",
+        "duplicate_vertex_snapshot", "arc_count_mismatch_snapshot"}) {
+    SCOPED_TRACE(name);
+    const std::string bytes = read(name);
+    ASSERT_FALSE(bytes.empty());
+    ExprArena arena;
+    auto r = DecodeSnapshot(bytes, &arena);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(r.status().message().find("version"), std::string::npos)
+        << r.status().ToString();
   }
 }
 
@@ -287,6 +409,57 @@ TEST_F(SnapshotTest, MismatchedBaseTheoryDegradesToColdRecompute) {
   // Journal still replays on top of the new base.
   EXPECT_EQ(d->recovery().journal_replayed_new, 1u);
   EXPECT_EQ(d->engine().constraints().size(), 2u);
+}
+
+// A snapshot written before the format dropped the frontier (version 1)
+// is not restored; recovery falls back to base theory + the cumulative
+// journal, so no accepted constraint is lost.
+TEST_F(SnapshotTest, Version1SnapshotDegradesToColdRecompute) {
+  ExprArena arena;
+  auto base = BaseTheory(&arena);
+  Pd extra = *arena.ParsePd("E <= A+C");
+  {
+    auto d = DurablePdEngine::Recover(&arena, base, Opts(/*checkpoint_every=*/0));
+    ASSERT_TRUE(d.ok());
+    ASSERT_TRUE(d->AddPd(extra, ExecContext::Unbounded()).ok());
+    ASSERT_TRUE(d->Checkpoint(ExecContext::Unbounded()).ok());
+  }
+  // Rewrite the file as version 1 wrote it: META also carried the seeded
+  // vertex count and a closure_valid byte, and an empty DLTA chunk
+  // followed ROWS.
+  auto file = ReadChunkFile(snapshot_);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  std::vector<Chunk> chunks = file->chunks;
+  ASSERT_EQ(chunks[0].tag, ChunkTag("META"));
+  ByteReader meta(chunks[0].payload);
+  uint32_t version = 0;
+  uint64_t fingerprint = 0, arcs = 0, n = 0;
+  ASSERT_TRUE(meta.U32(&version) && meta.U64(&fingerprint) &&
+              meta.U64(&arcs) && meta.U64(&n));
+  ByteWriter v1_meta;
+  v1_meta.U32(1);
+  v1_meta.U64(fingerprint);
+  v1_meta.U64(arcs);
+  v1_meta.U64(n);  // seeded vertices
+  v1_meta.U64(n);
+  v1_meta.U8(1);  // closure_valid
+  chunks[0].payload = v1_meta.Take();
+  ByteWriter dlta;
+  dlta.U32(0);
+  chunks.push_back(Chunk{ChunkTag("DLTA"), dlta.Take()});
+  ASSERT_TRUE(WriteChunkFile(snapshot_, 1, chunks).ok());
+
+  ExprArena arena2;
+  auto base2 = BaseTheory(&arena2);
+  auto d = DurablePdEngine::Recover(&arena2, base2, Opts());
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d->recovery().tier, RecoveryTier::kColdRecompute);
+  EXPECT_NE(d->recovery().snapshot_error.find("unsupported snapshot version 1"),
+            std::string::npos)
+      << d->recovery().snapshot_error;
+  EXPECT_EQ(d->recovery().journal_replayed_new, 1u);
+  EXPECT_EQ(d->engine().constraints().size(), base.size() + 1);
+  EXPECT_TRUE(d->engine().Implies(*arena2.ParsePd("E <= A+C")));
 }
 
 TEST_F(SnapshotTest, RecoveryStatsReportEveryTier) {
@@ -534,6 +707,62 @@ TEST_F(SnapshotTest, CheckpointFaultDoesNotFailAddPd) {
   auto r = DurablePdEngine::Recover(&arena2, base2, Opts());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->engine().constraints().size(), base.size() + 2);
+}
+
+// Checkpoint closes the engine before writing. A closure that trips the
+// context fails the checkpoint (leaving the previous snapshot alone) but
+// never the accept; an unbounded checkpoint then closes and writes, and
+// the result restores to the same verdicts a cold engine reaches.
+TEST_F(SnapshotTest, CheckpointClosesAnAbortedClosure) {
+  ExprArena arena;
+  auto base = BaseTheory(&arena);
+  Pd extra = *arena.ParsePd("E <= A+C");
+  {
+    auto d = DurablePdEngine::Recover(&arena, base, Opts(/*checkpoint_every=*/1));
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    ASSERT_TRUE(d->Checkpoint(ExecContext::Unbounded()).ok());
+    auto before = ReadFileBounded(snapshot_);
+    ASSERT_TRUE(before.ok());
+
+    // No room for a single new arc: any closure that grows V trips.
+    ExecContext tight;
+    tight.WithMaxArcs(d->engine().stats().num_arcs);
+    auto verdict = d->engine().Implies(*arena.ParsePd("B*C <= A+E"), tight);
+    ASSERT_FALSE(verdict.ok());
+    EXPECT_EQ(verdict.status().code(), StatusCode::kResourceExhausted);
+
+    Status st = d->Checkpoint(tight);
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+    EXPECT_EQ(*ReadFileBounded(snapshot_), *before);
+
+    // The auto-checkpoint trips the same way; the accept still succeeds.
+    st = d->AddPd(extra, tight);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(d->last_checkpoint_status().code(),
+              StatusCode::kResourceExhausted);
+    EXPECT_EQ(*ReadFileBounded(snapshot_), *before);
+
+    st = d->Checkpoint(ExecContext::Unbounded());
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+
+  ExprArena arena2;
+  auto base2 = BaseTheory(&arena2);
+  auto d = DurablePdEngine::Recover(&arena2, base2, Opts());
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d->recovery().tier, RecoveryTier::kCleanRestore);
+  EXPECT_EQ(d->recovery().journal_replayed_new, 0u);
+  std::vector<Pd> full = base2;
+  full.push_back(*arena2.ParsePd("E <= A+C"));
+  PdImplicationEngine cold(&arena2, full);
+  const std::vector<ExprId> verts = d->engine().vertices();
+  for (std::size_t i = 0; i < verts.size(); ++i) {
+    for (std::size_t j = 0; j < verts.size(); ++j) {
+      EXPECT_EQ(d->engine().ImpliesLeq(verts[i], verts[j]),
+                cold.ImpliesLeq(verts[i], verts[j]))
+          << "pair (" << i << ", " << j << ")";
+    }
+  }
 }
 
 // --- incremental AddConstraint (engine-level) ---------------------------------
