@@ -33,10 +33,11 @@
 //                       (default 32; 0 = only the explicit 'checkpoint'
 //                       command)
 //
-// With durability enabled, 'pd'/'fd' append to the write-ahead journal
-// (fsync) before applying, so an acknowledged constraint survives kill -9
-// at any instant; 'implies' reuses the recovered warm engine instead of
-// rebuilding the closure per query.
+// One engine holds E for the whole session, and 'implies' reuses its warm
+// closure instead of rebuilding it per query (so --max-arcs bounds that
+// closure). With durability enabled, 'pd'/'fd' append to the write-ahead
+// journal (fsync) before applying, so an acknowledged constraint survives
+// kill -9 at any instant; without it the engine is in-memory.
 //
 // The process exit code distinguishes outcomes (see ExitCodeFor):
 // 0 ok, 2 invalid input, 6 resource budget exhausted, 7 inconsistent
@@ -49,6 +50,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -66,14 +68,17 @@ namespace {
 
 struct Session {
   ExprArena arena;
-  std::vector<Pd> pds;
   Database db;
   uint64_t deadline_ms = 0;  // 0 = no deadline
   uint64_t max_arcs = 0;     // 0 = no arc budget
   Status last_error;         // drives the process exit code
-  // Set when --snapshot-dir/--journal is given: every accepted PD is
-  // journaled before it is applied, and 'implies' reuses the warm engine.
-  std::optional<DurablePdEngine> durable;
+  // The session's one engine, and the only copy of E. With
+  // --snapshot-dir/--journal (`durable` set) every accepted PD is
+  // journaled before it is applied; without them it is in-memory.
+  std::optional<DurablePdEngine> engine;
+  bool durable = false;
+
+  const std::vector<Pd>& pds() const { return engine->engine().constraints(); }
 
   // Fresh context per command: the deadline is relative to the command's
   // start, not the session's.
@@ -100,20 +105,17 @@ struct Session {
     last_error = st;
   }
 
-  // Routes a new constraint through the durable engine when enabled
-  // (journal fsync happens before the constraint is applied).
-  bool AcceptPd(const Pd& pd) {
-    if (durable) {
-      Status st = durable->AddPd(pd, Ctx());
-      if (!st.ok()) {
-        ShowStatusError(st);
-        return false;
-      }
-      pds = durable->engine().constraints();
-      return true;
+  // Adds a constraint to E (the journal fsync, if any, happens before it
+  // is applied). Returns its 1-based number in E — a duplicate keeps the
+  // number it was first given — or 0 after reporting an error.
+  std::size_t AcceptPd(const Pd& pd) {
+    Status st = engine->AddPd(pd, Ctx());
+    if (!st.ok()) {
+      ShowStatusError(st);
+      return 0;
     }
-    pds.push_back(pd);
-    return true;
+    const std::vector<Pd>& e = pds();
+    return std::find(e.begin(), e.end(), pd) - e.begin() + 1;
   }
 
   void Handle(const std::string& raw) {
@@ -129,37 +131,30 @@ struct Session {
     if (starts("pd ")) {
       auto pd = arena.ParsePd(rest_after(3));
       if (!pd.ok()) return ShowStatusError(pd.status());
-      if (!AcceptPd(*pd)) return;
+      const std::size_t number = AcceptPd(*pd);
+      if (number == 0) return;
       std::set<AttrId> attrs;
       arena.CollectAttrs(pd->lhs, &attrs);
       arena.CollectAttrs(pd->rhs, &attrs);
       for (AttrId a : attrs) db.universe().Intern(arena.AttrName(a));
-      std::printf("E%zu: %s\n", pds.size(), arena.ToString(*pd).c_str());
+      std::printf("E%zu: %s\n", number, arena.ToString(*pd).c_str());
     } else if (starts("fd ")) {
       auto fd = Fd::Parse(&db.universe(), rest_after(3));
       if (!fd.ok()) return ShowStatusError(fd.status());
       Pd fpd = FdToFpd(db.universe(), &arena, *fd);
-      if (!AcceptPd(fpd)) return;
-      std::printf("E%zu: %s   (FPD for %s)\n", pds.size(),
+      const std::size_t number = AcceptPd(fpd);
+      if (number == 0) return;
+      std::printf("E%zu: %s   (FPD for %s)\n", number,
                   arena.ToString(fpd).c_str(),
                   fd->ToString(db.universe()).c_str());
     } else if (starts("implies ")) {
       auto pd = arena.ParsePd(rest_after(8));
       if (!pd.ok()) return ShowStatusError(pd.status());
-      if (durable) {
-        // The recovered engine stays warm across queries; only the
-        // query's two vertices are new work.
-        auto verdict = durable->engine().Implies(*pd, Ctx());
-        if (!verdict.ok()) {
-          return ShowUndecided(verdict.status(), durable->engine().stats());
-        }
-        std::printf("%s\n", *verdict ? "implied" : "not implied");
-        return;
-      }
-      PdImplicationEngine engine(&arena, pds);
-      auto verdict = engine.Implies(*pd, Ctx());
+      // The engine stays warm across queries; only the query's new
+      // vertices (and any PDs added since) are new work.
+      auto verdict = engine->engine().Implies(*pd, Ctx());
       if (!verdict.ok()) {
-        return ShowUndecided(verdict.status(), engine.stats());
+        return ShowUndecided(verdict.status(), engine->engine().stats());
       }
       std::printf("%s\n", *verdict ? "implied" : "not implied");
     } else if (line == "checkpoint") {
@@ -167,13 +162,13 @@ struct Session {
         std::printf("durability is not enabled (--snapshot-dir)\n");
         return;
       }
-      Status st = durable->Checkpoint(Ctx());
+      Status st = engine->Checkpoint(Ctx());
       if (!st.ok()) return ShowStatusError(st);
       std::printf("checkpoint written\n");
     } else if (starts("explain ")) {
       auto pd = arena.ParsePd(rest_after(8));
       if (!pd.ok()) return ShowStatusError(pd.status());
-      ProvenanceEngine prover(&arena, pds);
+      ProvenanceEngine prover(&arena, pds());
       auto proof = prover.Prove(*pd);
       if (!proof.ok()) {
         std::printf("not implied (%s)\n", proof.status().message().c_str());
@@ -183,7 +178,7 @@ struct Session {
     } else if (starts("counter ")) {
       auto pd = arena.ParsePd(rest_after(8));
       if (!pd.ok()) return ShowStatusError(pd.status());
-      auto model = FindCounterModel(arena, pds, *pd, /*max_population=*/4);
+      auto model = FindCounterModel(arena, pds(), *pd, /*max_population=*/4);
       if (!model) {
         std::printf("no countermodel with population <= 4 (likely implied)\n");
         return;
@@ -256,7 +251,7 @@ struct Session {
       std::printf("L(I(%s)): %s\n", r.schema().name.c_str(),
                   Summarize(closure->lattice).c_str());
     } else if (line == "consistent") {
-      auto report = PdConsistent(&db, arena, pds, Ctx());
+      auto report = PdConsistent(&db, arena, pds(), Ctx());
       if (!report.ok()) {
         // Keep "undecided: budget" visibly distinct from the
         // INCONSISTENT verdict below.
@@ -276,7 +271,7 @@ struct Session {
                   report->num_fpds, report->num_sum_uppers,
                   report->chase_rounds);
     } else if (line == "materialize") {
-      auto m = MaterializeWeakInstance(&db, arena, pds, /*max_rounds=*/64,
+      auto m = MaterializeWeakInstance(&db, arena, pds(), /*max_rounds=*/64,
                                        Ctx());
       if (!m.ok()) return ShowStatusError(m.status());
       std::printf("weak instance (%zu rows, %zu repairs):\n%s",
@@ -284,8 +279,8 @@ struct Session {
                   m->instance.ToString(db.universe(), db.symbols()).c_str());
     } else if (line == "show") {
       std::printf("E:\n");
-      for (std::size_t i = 0; i < pds.size(); ++i) {
-        std::printf("  E%zu: %s\n", i + 1, arena.ToString(pds[i]).c_str());
+      for (std::size_t i = 0; i < pds().size(); ++i) {
+        std::printf("  E%zu: %s\n", i + 1, arena.ToString(pds()[i]).c_str());
       }
       std::printf("database:\n%s", DumpDatabaseText(db).c_str());
     } else if (line == "help") {
@@ -376,40 +371,42 @@ int main(int argc, char** argv) {
     script_path = arg;
   }
 
-  if (!snapshot_dir.empty() || !journal_path.empty()) {
-    DurabilityOptions opts;
-    if (!snapshot_dir.empty()) {
-      ::mkdir(snapshot_dir.c_str(), 0777);  // best effort; Recover reports
-      opts.snapshot_path = snapshot_dir + "/closure.snap";
-      if (journal_path.empty()) journal_path = snapshot_dir + "/closure.wal";
-    }
-    opts.journal_path = journal_path;
-    opts.checkpoint_every = static_cast<std::size_t>(checkpoint_every);
-    auto recovered = DurablePdEngine::Recover(&session.arena, {},
-                                              std::move(opts), session.Ctx());
-    if (!recovered.ok()) {
-      // A hard recovery failure (e.g. corrupt journal header) must not be
-      // papered over: refusing to start beats silently dropping accepted
-      // constraints.
-      std::fprintf(stderr, "recovery failed: %s\n",
-                   recovered.status().ToString().c_str());
-      return ExitCodeFor(recovered.status().code());
-    }
-    session.durable.emplace(std::move(*recovered));
-    session.pds = session.durable->engine().constraints();
-    const RecoveryStats& rs = session.durable->recovery();
+  // No durability flags: no artifact paths, so Recover builds a plain
+  // in-memory engine.
+  DurabilityOptions opts;
+  session.durable = !snapshot_dir.empty() || !journal_path.empty();
+  if (!snapshot_dir.empty()) {
+    ::mkdir(snapshot_dir.c_str(), 0777);  // best effort; Recover reports
+    opts.snapshot_path = snapshot_dir + "/closure.snap";
+    if (journal_path.empty()) journal_path = snapshot_dir + "/closure.wal";
+  }
+  opts.journal_path = journal_path;
+  opts.checkpoint_every = static_cast<std::size_t>(checkpoint_every);
+  auto recovered = DurablePdEngine::Recover(&session.arena, {},
+                                            std::move(opts), session.Ctx());
+  if (!recovered.ok()) {
+    // A hard recovery failure (e.g. corrupt journal header) must not be
+    // papered over: refusing to start beats silently dropping accepted
+    // constraints.
+    std::fprintf(stderr, "recovery failed: %s\n",
+                 recovered.status().ToString().c_str());
+    return ExitCodeFor(recovered.status().code());
+  }
+  session.engine.emplace(std::move(*recovered));
+  if (session.durable) {
+    const RecoveryStats& rs = session.engine->recovery();
     // stderr so scripted stdout stays byte-comparable with a
     // durability-free run of the same commands.
     std::fprintf(stderr,
                  "recovery: tier=%s constraints=%zu journal_records=%zu "
                  "replayed=%zu snapshot_vertices=%zu snapshot_arcs=%llu%s%s\n",
-                 RecoveryTierName(rs.tier), session.pds.size(),
+                 RecoveryTierName(rs.tier), session.pds().size(),
                  rs.journal_records, rs.journal_replayed_new,
                  rs.restored_vertices,
                  static_cast<unsigned long long>(rs.restored_arcs),
                  rs.snapshot_error.empty() ? "" : " snapshot_error=",
                  rs.snapshot_error.c_str());
-    for (const Pd& pd : session.pds) {
+    for (const Pd& pd : session.pds()) {
       std::set<AttrId> attrs;
       session.arena.CollectAttrs(pd.lhs, &attrs);
       session.arena.CollectAttrs(pd.rhs, &attrs);

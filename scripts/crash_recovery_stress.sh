@@ -3,7 +3,8 @@
 # (--snapshot-dir). Each round:
 #
 #   1. generates a seeded PD stream + implication query battery,
-#   2. computes reference verdicts with a durability-free run,
+#   2. computes reference verdicts with a durability-free run (the CLI's
+#      in-memory session engine),
 #   3. feeds the stream slowly to a durable CLI and SIGKILLs it mid-stream,
 #   4. restarts against the same snapshot dir, re-feeds the full stream
 #      (journal replay + AddPd dedupe make this idempotent) and runs the
@@ -57,7 +58,7 @@ for round in $(seq 1 "$ROUNDS"); do
   gen_pds "$round" > "$dir/pds.txt"
   gen_queries > "$dir/queries.txt"
 
-  # Reference: the same stream, durability disabled, fresh engine.
+  # Reference: the same stream, durability disabled (in-memory engine).
   cat "$dir/pds.txt" "$dir/queries.txt" | "$CLI" \
     | grep -E '^(implied|not implied)$' > "$dir/expected.txt"
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "util/failpoint.h"
 
@@ -32,11 +33,10 @@ constexpr std::size_t kCheckStride = 256;
 PdImplicationEngine::PdImplicationEngine(const ExprArena* arena,
                                          std::vector<Pd> constraints,
                                          EngineOptions options)
-    : arena_(arena), constraints_(std::move(constraints)), options_(options) {
-  for (const Pd& pd : constraints_) {
-    AddVertex(pd.lhs);
-    AddVertex(pd.rhs);
-  }
+    : arena_(arena), options_(options) {
+  constraints_.reserve(constraints.size());
+  constraint_index_.reserve(constraints.size());
+  for (const Pd& pd : constraints) AddConstraint(pd);
 }
 
 std::size_t PdImplicationEngine::CountNewVertices(ExprId e,
@@ -49,6 +49,15 @@ std::size_t PdImplicationEngine::CountNewVertices(ExprId e,
     count += CountNewVertices(arena_->RhsOf(e), seen);
   }
   return count;
+}
+
+Status PdImplicationEngine::CheckVertexBudget(std::span<const ExprId> exprs,
+                                              const ExecContext& ctx) const {
+  if (ctx.max_vertices() == 0) return Status::OK();
+  std::set<ExprId> seen;
+  std::size_t added = 0;
+  for (ExprId e : exprs) added += CountNewVertices(e, &seen);
+  return ctx.CheckVertices(vertices_.size() + added);
 }
 
 void PdImplicationEngine::AddVertex(ExprId e) {
@@ -107,18 +116,18 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
   // Seed phase. Every seed arc is planted through the delta state: set in
   // up_, flagged unconsumed in delta_up_, row marked dirty — the fixpoint
   // below then treats seed arcs and derived arcs uniformly (each is
-  // consumed exactly once). Cold: reflexive arcs everywhere plus the
-  // constraint arcs. (Rule 1 seeds (A, A) for attributes only and derives
-  // reflexivity of composites via rules 3/4, resp. 5/2; seeding all
-  // vertices is sound and saves rounds.) Incremental: the previous
-  // closure is itself a set of sound consequences of E (Lemma 9.2), so it
-  // is a valid warm start — old rows are widened in place, only the new
-  // vertices get fresh reflexive rows, and new composites over
-  // already-consumed children get a one-time catch-up union of their
-  // children's rows/columns. The worklist ends up holding exactly the
-  // dirty frontier. A resumed closure (seeded_vertices_ == n after an
-  // abort) skips seeding entirely: the unconsumed deltas and dirty rows
-  // persisted across the abort.
+  // consumed exactly once). Cold: reflexive arcs everywhere. (Rule 1
+  // seeds (A, A) for attributes only and derives reflexivity of
+  // composites via rules 3/4, resp. 5/2; seeding all vertices is sound
+  // and saves rounds.) Incremental: the previous closure is itself a set
+  // of sound consequences of E (Lemma 9.2), so it is a valid warm start —
+  // old rows are widened in place, only the new vertices get fresh
+  // reflexive rows, and new composites over already-consumed children get
+  // a one-time catch-up union of their children's rows/columns. Either
+  // way the unplanted constraints then get their arcs. The worklist ends
+  // up holding exactly the dirty frontier. A resumed closure
+  // (seeded_vertices_ == n after an abort) skips the vertex seeding: the
+  // unconsumed deltas and dirty rows persisted across the abort.
   const std::size_t old_n = seeded_vertices_;
   if (old_n < n) {
     for (std::size_t i = 0; i < old_n; ++i) {
@@ -137,13 +146,6 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
       TrySetArc(static_cast<uint32_t>(i), static_cast<uint32_t>(i));
     }
     if (old_n == 0) {
-      // Rule 6: each constraint contributes its arc(s).
-      for (const Pd& pd : constraints_) {
-        uint32_t l = vertex_of_.at(pd.lhs);
-        uint32_t r = vertex_of_.at(pd.rhs);
-        TrySetArc(l, r);
-        if (pd.is_equation) TrySetArc(r, l);
-      }
       ++stats_.cold_closures;
     } else {
       // Composite catch-up: a new composite over old children missed the
@@ -187,19 +189,13 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
     // Abort resume over an unchanged V: a pure warm start.
     ++stats_.incremental_closures;
   }
-  // Constraints accepted by AddConstraint since the last closure: plant
-  // their arcs through the delta state so the fixpoint consumes them like
-  // any seed. Idempotent against the cold path above (which already
-  // seeded all of constraints_, pending included). Cleared only now —
-  // an abort at the entry checks leaves them pending for the next call.
-  if (!pending_constraints_.empty()) {
-    for (const Pd& pd : pending_constraints_) {
-      uint32_t l = vertex_of_.at(pd.lhs);
-      uint32_t r = vertex_of_.at(pd.rhs);
-      TrySetArc(l, r);
-      if (pd.is_equation) TrySetArc(r, l);
-    }
-    pending_constraints_.clear();
+  // Rule 6: each constraint not yet planted contributes its arc(s).
+  for (; planted_constraints_ < constraints_.size(); ++planted_constraints_) {
+    const Pd& pd = constraints_[planted_constraints_];
+    uint32_t l = vertex_of_.at(pd.lhs);
+    uint32_t r = vertex_of_.at(pd.rhs);
+    TrySetArc(l, r);
+    if (pd.is_equation) TrySetArc(r, l);
   }
   stats_.seed_seconds += SecondsSince(closure_start);
 
@@ -406,32 +402,32 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
   return Status::OK();
 }
 
-// One dense round: the whole frontier is frozen into carry_ and consumed
-// by phase — scatter + per-arc column rules, then the blocked forward
-// join (64-row destination tiles walking the carry words in lockstep, so
-// the up_[j] source rows stay cache-hot across a tile), then backward
-// transitivity and the parent pulls. New arcs land in delta_up_ and feed
-// the next round (Jacobi across rounds). An abort restores every frozen
-// carry into delta_up_ and redoes the round on resume; all per-arc
-// effects are idempotent and the arc counter only counts transitions, so
-// the redo is exact.
+// One dense round: the whole frontier is frozen into the round-local
+// `carry` rows and consumed by phase — scatter + per-arc column rules,
+// then the blocked forward join (64-row destination tiles walking the
+// carry words in lockstep, so the up_[j] source rows stay cache-hot
+// across a tile), then backward transitivity and the parent pulls. New
+// arcs land in delta_up_ and feed the next round (Jacobi across rounds).
+// An abort restores every frozen carry into delta_up_ and redoes the
+// round on resume; all per-arc effects are idempotent and the arc
+// counter only counts transitions, so the redo is exact.
 Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
                                        const ExecContext& ctx) {
   const std::size_t n = vertices_.size();
   const std::size_t words = (n + 63) / 64;
   const bool governed = !ctx.unbounded();
-  if (carry_.size() < n) carry_.resize(n);
+  // Only worklist rows get a carry; it is freed when the round returns,
+  // so a closed engine holds no dense-round scratch.
+  std::vector<DynamicBitset> carry(n);
   DynamicBitset carry_mask(n);
   for (uint32_t i : worklist) {
-    if (carry_[i].size() != n) carry_[i] = DynamicBitset(n);
-    std::swap(carry_[i], delta_up_[i]);
-    if (carry_[i].Any()) carry_mask.Set(i);
+    carry[i] = std::exchange(delta_up_[i], DynamicBitset(n));
+    if (carry[i].Any()) carry_mask.Set(i);
     dirty_rows_.Reset(i);
   }
   auto restore = [&] {
     for (uint32_t i : worklist) {
-      delta_up_[i].UnionWith(carry_[i]);
-      carry_[i].Clear();
+      delta_up_[i].UnionWith(carry[i]);
       dirty_rows_.Set(i);
     }
   };
@@ -455,7 +451,7 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
       }
     }
     for (uint32_t i : worklist) {
-      uint64_t w = carry_[i].word(wk);
+      uint64_t w = carry[i].word(wk);
       while (w) {
         const std::size_t j =
             (wk << 6) + static_cast<std::size_t>(__builtin_ctzll(w));
@@ -478,7 +474,7 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
         return st;
       }
     }
-    carry_[i].ForEach([&](std::size_t j) {
+    carry[i].ForEach([&](std::size_t j) {
       for (const auto& [m, o] : parents_[j]) {
         if (kind_[m] == ExprKind::kSum || up_[i].Test(o)) TrySetArc(i, m);
       }
@@ -512,7 +508,7 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
     for (std::size_t wk = 0; wk < words; ++wk) {
       for (std::size_t t = t0; t < t1; ++t) {
         const uint32_t i = worklist[t];
-        uint64_t w = carry_[i].word(wk);
+        uint64_t w = carry[i].word(wk);
         while (w) {
           const std::size_t j =
               (wk << 6) + static_cast<std::size_t>(__builtin_ctzll(w));
@@ -540,9 +536,9 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
     cand.IntersectWith(up_[p]);
     cand.Reset(p);
     // Frozen sources this row consumed via the forward join already
-    // delivered up_ ⊇ carry there — skip them. (Rows never frozen by
-    // any dense round keep a zero-sized carry.)
-    if (carry_[p].size() == n) cand.SubtractWith(carry_[p]);
+    // delivered up_ ⊇ carry there — skip them. (Only rows on this
+    // round's worklist have a carry to subtract.)
+    if (carry_mask.Test(p)) cand.SubtractWith(carry[p]);
     if (cand.None()) continue;
     if (governed && (++strider % kCheckStride) == 0) {
       Status st = governed_check();
@@ -553,7 +549,7 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
       }
     }
     scratch.Clear();
-    cand.ForEach([&](std::size_t i) { scratch.OrWith(carry_[i]); });
+    cand.ForEach([&](std::size_t i) { scratch.OrWith(carry[i]); });
     std::size_t added = up_[p].OrInPlaceCountNew(scratch, &delta_up_[p]);
     if (added) {
       arc_count_ += added;
@@ -566,8 +562,8 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
     for (const auto& [m, o] : parents_[i]) {
       std::size_t added =
           kind_[m] == ExprKind::kProduct
-              ? up_[m].OrInPlaceCountNew(carry_[i], &delta_up_[m])
-              : up_[m].OrAndInPlaceCountNew(carry_[i], up_[o], &delta_up_[m]);
+              ? up_[m].OrInPlaceCountNew(carry[i], &delta_up_[m])
+              : up_[m].OrAndInPlaceCountNew(carry[i], up_[o], &delta_up_[m]);
       if (added) {
         arc_count_ += added;
         dirty_rows_.Set(m);
@@ -576,10 +572,9 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
   }
   stats_.rules_seconds += SecondsSince(rules_start);
 
-  // Frontier fully consumed: drop the carries, flag rows that gained.
+  // Frontier fully consumed: flag rows that gained.
   transpose_start = SteadyClock::now();
   for (uint32_t i : worklist) {
-    carry_[i].Clear();
     if (delta_up_[i].Any()) dirty_rows_.Set(i);
   }
   stats_.transpose_seconds += SecondsSince(transpose_start);
@@ -599,15 +594,9 @@ void PdImplicationEngine::Prepare(const std::vector<ExprId>& exprs) {
 
 Status PdImplicationEngine::Prepare(const std::vector<ExprId>& exprs,
                                     const ExecContext& ctx) {
-  // Enforce the vertex budget BEFORE mutating V: count the prospective
-  // subexpressions and reject the whole call if they would blow the cap,
-  // leaving the engine exactly as it was.
-  if (ctx.max_vertices() != 0) {
-    std::set<ExprId> seen;
-    std::size_t added = 0;
-    for (ExprId e : exprs) added += CountNewVertices(e, &seen);
-    PSEM_RETURN_IF_ERROR(ctx.CheckVertices(vertices_.size() + added));
-  }
+  // A vertex budget trip rejects the whole call, leaving the engine
+  // exactly as it was.
+  PSEM_RETURN_IF_ERROR(CheckVertexBudget(exprs, ctx));
   PSEM_RETURN_IF_ERROR(ctx.Check());
   for (ExprId e : exprs) AddVertex(e);
   if (!closure_valid_) PSEM_RETURN_IF_ERROR(ComputeClosure(ctx));
@@ -615,18 +604,14 @@ Status PdImplicationEngine::Prepare(const std::vector<ExprId>& exprs,
 }
 
 bool PdImplicationEngine::HasConstraint(const Pd& pd) const {
-  for (const Pd& existing : constraints_) {
-    if (existing == pd) return true;
-  }
-  return false;
+  return constraint_index_.contains(pd);
 }
 
 void PdImplicationEngine::AddConstraint(const Pd& pd) {
-  if (HasConstraint(pd)) return;
+  if (!constraint_index_.insert(pd).second) return;
   AddVertex(pd.lhs);
   AddVertex(pd.rhs);
   constraints_.push_back(pd);
-  pending_constraints_.push_back(pd);
   closure_valid_ = false;
   // Cached verdicts were proved under the smaller E; a larger E can only
   // add implications, but "not implied" answers may flip, so drop all.
@@ -634,17 +619,18 @@ void PdImplicationEngine::AddConstraint(const Pd& pd) {
   cache_.clear();
 }
 
+Result<bool> PdImplicationEngine::AdmitConstraint(
+    const Pd& pd, const ExecContext& ctx) const {
+  if (HasConstraint(pd)) return false;
+  PSEM_RETURN_IF_ERROR(CheckVertexBudget(std::array{pd.lhs, pd.rhs}, ctx));
+  PSEM_RETURN_IF_ERROR(ctx.Check());
+  return true;
+}
+
 Status PdImplicationEngine::AddConstraint(const Pd& pd,
                                           const ExecContext& ctx) {
-  if (HasConstraint(pd)) return Status::OK();
-  if (ctx.max_vertices() != 0) {
-    std::set<ExprId> seen;
-    std::size_t added = CountNewVertices(pd.lhs, &seen) +
-                        CountNewVertices(pd.rhs, &seen);
-    PSEM_RETURN_IF_ERROR(ctx.CheckVertices(vertices_.size() + added));
-  }
-  PSEM_RETURN_IF_ERROR(ctx.Check());
-  AddConstraint(pd);
+  PSEM_ASSIGN_OR_RETURN(bool admitted, AdmitConstraint(pd, ctx));
+  if (admitted) AddConstraint(pd);
   return Status::OK();
 }
 
@@ -692,8 +678,10 @@ Status PdImplicationEngine::RestoreEngineState(
     if (!vertex_of_.count(pd.lhs) || !vertex_of_.count(pd.rhs)) {
       return Status::DataLoss("snapshot constraint over unknown vertex");
     }
+    AddConstraint(pd);
   }
-  constraints_ = std::move(constraints);
+  // The restored rows already hold every constraint's arcs.
+  planted_constraints_ = constraints_.size();
   up_ = std::move(state.up);
   arc_count_ = state.arc_count;
   // Closed: every arc is consumed, so the frontier and worklist are empty
@@ -850,9 +838,6 @@ std::vector<Result<bool>> PdImplicationEngine::BatchImplies(
   // staged in optionals and unwrapped at the end.
   std::vector<std::optional<Result<bool>>> slots(queries.size());
   std::vector<std::size_t> pending;
-  std::set<ExprId> counted;  // spans the batch: vertices shared between
-                             // in-budget queries are counted once
-  std::size_t prospective = vertices_.size();
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const Pd& q = queries[i];
     bool fwd;
@@ -871,19 +856,12 @@ std::vector<Result<bool>> PdImplicationEngine::BatchImplies(
         continue;
       }
     }
-    if (ctx.max_vertices() != 0) {
-      // Trial-count against a copy so a rejected query's subexpressions
-      // don't pollute the shared `counted` set.
-      std::set<ExprId> trial = counted;
-      std::size_t added = CountNewVertices(q.lhs, &trial) +
-                          CountNewVertices(q.rhs, &trial);
-      Status st = ctx.CheckVertices(prospective + added);
-      if (!st.ok()) {
-        slots[i] = Result<bool>(st);
-        continue;
-      }
-      counted = std::move(trial);
-      prospective += added;
+    // An accepted query is interned at once, so the next query's budget
+    // check already counts its vertices as part of V.
+    Status st = CheckVertexBudget(std::array{q.lhs, q.rhs}, ctx);
+    if (!st.ok()) {
+      slots[i] = Result<bool>(st);
+      continue;
     }
     AddVertex(q.lhs);
     AddVertex(q.rhs);

@@ -55,6 +55,7 @@
 #include <set>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "lattice/expr.h"
@@ -163,19 +164,25 @@ class PdImplicationEngine {
   void Prepare(const std::vector<ExprId>& exprs);
   Status Prepare(const std::vector<ExprId>& exprs, const ExecContext& ctx);
 
-  /// Grows E by one constraint without rebuilding the engine. Sound as a
-  /// warm start: every arc of the old closure is a consequence of the old
-  /// E, hence of the larger E (arc rules are monotone in E). The new
-  /// constraint's arcs are planted at the next closure; the LRU query
-  /// cache is dropped, because cached verdicts are V-independent only for
-  /// a FIXED E — a larger E can flip "not implied" to "implied".
-  /// Idempotent: re-adding a constraint already in E is a no-op.
+  /// Grows E by one constraint without rebuilding the engine, and the
+  /// only way a constraint enters E (the constructor and
+  /// RestoreEngineState call it too). Sound as a warm start: every arc of
+  /// the old closure is a consequence of the old E, hence of the larger E
+  /// (arc rules are monotone in E). The new constraint's arcs are planted
+  /// at the next closure; the LRU query cache is dropped, because cached
+  /// verdicts are V-independent only for a FIXED E — a larger E can flip
+  /// "not implied" to "implied". Idempotent: re-adding a constraint
+  /// already in E is a no-op.
   void AddConstraint(const Pd& pd);
-  /// True iff `pd` is already in E (structural equality of interned ids).
-  /// The one dedupe test behind AddConstraint, DurablePdEngine::AddPd and
-  /// journal replay.
+  /// True iff `pd` is already in E (structural equality of interned ids):
+  /// one probe of the hashed constraint index.
   bool HasConstraint(const Pd& pd) const;
-  /// Governed variant: enforces ctx's vertex budget before mutating V.
+  /// The admission check a constraint passes before it may enter E (or a
+  /// journal): false if it is already in E, true if it may enter, or the
+  /// status that rejects it — ctx's vertex budget against its new
+  /// subexpressions, then ctx.Check(). Mutates nothing.
+  Result<bool> AdmitConstraint(const Pd& pd, const ExecContext& ctx) const;
+  /// Governed variant: AdmitConstraint, then AddConstraint if admitted.
   Status AddConstraint(const Pd& pd, const ExecContext& ctx);
 
   /// Arc lookup in the computed closure. Both expressions must have been
@@ -214,20 +221,24 @@ class PdImplicationEngine {
   /// row that wide, popcount == arc_count — then re-adds `vertex_order`
   /// verbatim (valid whenever the order is children-first, which
   /// vertices() guarantees, so the restored rows keep their indices,
-  /// query-introduced vertices included), installs `constraints` as E,
-  /// and installs the rows as a closed closure with an empty frontier and
-  /// down_ rebuilt as their transpose. kDataLoss on malformed input (the
-  /// engine should then be discarded); kFailedPrecondition if the engine
-  /// already has vertices.
+  /// query-introduced vertices included), adds `constraints` to E through
+  /// AddConstraint (so a repeated one is kept once), and installs the
+  /// rows as a closed closure with every constraint planted, an empty
+  /// frontier and down_ rebuilt as their transpose. kDataLoss on
+  /// malformed input (the engine should then be discarded);
+  /// kFailedPrecondition if the engine already has vertices.
   Status RestoreEngineState(const std::vector<ExprId>& vertex_order,
                             std::vector<Pd> constraints,
                             EngineClosureState state);
 
  private:
   void AddVertex(ExprId e);
-  // Number of subexpressions of `e` not yet in V and not yet in `seen`;
-  // used to enforce a vertex budget BEFORE mutating V.
+  // Number of subexpressions of `e` not yet in V and not yet in `seen`.
   std::size_t CountNewVertices(ExprId e, std::set<ExprId>* seen) const;
+  // The vertex budget, enforced BEFORE V is mutated: kResourceExhausted
+  // if interning `exprs` would push |V| past ctx's cap.
+  Status CheckVertexBudget(std::span<const ExprId> exprs,
+                           const ExecContext& ctx) const;
   // All closure routines return OK, or the ctx/fail-point Status that
   // stopped them early. An early stop leaves closure_valid_ == false with
   // the partially propagated arc matrix, the unconsumed delta_up_ rows,
@@ -261,12 +272,22 @@ class PdImplicationEngine {
   // both vertices.
   bool LeqWithCache(ExprId e1, ExprId e2);
 
+  struct PdHash {
+    std::size_t operator()(const Pd& pd) const {
+      return std::hash<uint64_t>{}(uint64_t{pd.lhs} << 32 | pd.rhs) ^
+             pd.is_equation;
+    }
+  };
+
   const ExprArena* arena_;
+  // E in insertion order, and its hashed (lhs, rhs, is_equation) index.
   std::vector<Pd> constraints_;
-  // Constraints accepted by AddConstraint whose arcs have not yet been
-  // planted; consumed (and cleared) by the next ComputeClosure's seed
-  // phase. Survives aborted closures that stop before seeding.
-  std::vector<Pd> pending_constraints_;
+  std::unordered_set<Pd, PdHash> constraint_index_;
+  // constraints_[0, planted_constraints_) have their arcs planted in the
+  // delta state; the rest are planted by the next ComputeClosure's seed
+  // phase (all of E on a cold closure). An abort before seeding leaves
+  // the count as it was.
+  std::size_t planted_constraints_ = 0;
   EngineOptions options_;
 
   std::vector<ExprId> vertices_;                    // index -> ExprId
@@ -294,9 +315,6 @@ class PdImplicationEngine {
   // closures resume without reseeding.
   std::vector<DynamicBitset> delta_up_;
   DynamicBitset dirty_rows_;
-  // Per-round frozen frontier of a dense round: DenseRound swaps each
-  // worklist row's delta_up_ in here, consumes it, and clears it.
-  std::vector<DynamicBitset> carry_;
   // Exact running arc count: bumped once per up_ bit transition by the
   // OrInPlaceCountNew kernels and TrySetArc; replaces the per-pass
   // full-matrix count scans. Stays exact across aborted closures.

@@ -353,10 +353,10 @@ Result<DurablePdEngine> DurablePdEngine::Recover(ExprArena* arena,
                                                       d.options_.engine);
   }
 
-  // Replay the journal through the incremental path. Records E already
-  // holds (HasConstraint) are skipped, so records the snapshot covers are
-  // no-ops — which is what lets the journal stay cumulative across
-  // checkpoints.
+  // Replay the journal through the engine's one admission path. Records E
+  // already holds (one hash probe) are skipped, so records the snapshot
+  // covers are no-ops — which is what lets the journal stay cumulative
+  // across checkpoints.
   if (d.journal_.has_value()) {
     for (const std::string& record : d.journal_->recovered().records) {
       auto pd = arena->ParsePd(record);
@@ -364,8 +364,10 @@ Result<DurablePdEngine> DurablePdEngine::Recover(ExprArena* arena,
         return Status::DataLoss("journal record does not parse: " +
                                 pd.status().ToString());
       }
-      if (!d.engine_->HasConstraint(*pd)) {
-        PSEM_RETURN_IF_ERROR(d.engine_->AddConstraint(*pd, ctx));
+      PSEM_ASSIGN_OR_RETURN(bool admitted,
+                            d.engine_->AdmitConstraint(*pd, ctx));
+      if (admitted) {
+        d.engine_->AddConstraint(*pd);
         ++d.recovery_.journal_replayed_new;
       }
     }
@@ -384,16 +386,20 @@ Result<DurablePdEngine> DurablePdEngine::Recover(ExprArena* arena,
 }
 
 Status DurablePdEngine::AddPd(const Pd& pd, const ExecContext& ctx) {
-  if (engine_->HasConstraint(pd)) return Status::OK();
-  PSEM_RETURN_IF_ERROR(ctx.Check());
+  // The engine's whole admission check runs BEFORE the append, so a
+  // constraint the engine would reject is never journaled (recovery
+  // would otherwise bring it back).
+  PSEM_ASSIGN_OR_RETURN(bool admitted, engine_->AdmitConstraint(pd, ctx));
+  if (!admitted) return Status::OK();
   // Write-ahead discipline: the journal record is durable BEFORE the
   // constraint takes effect. A crash after Append but before the engine
   // applies it replays the record on recovery; a failed Append applies
-  // nothing, so the caller may retry.
+  // nothing, so the caller may retry. Once appended, the constraint is
+  // applied unconditionally: it was admitted, and the journal holds it.
   if (journal_.has_value()) {
     PSEM_RETURN_IF_ERROR(journal_->Append(arena_->ToString(pd)));
   }
-  PSEM_RETURN_IF_ERROR(engine_->AddConstraint(pd, ctx));
+  engine_->AddConstraint(pd);
   ++since_checkpoint_;
   if (!options_.snapshot_path.empty() && options_.checkpoint_every != 0 &&
       since_checkpoint_ >= options_.checkpoint_every) {

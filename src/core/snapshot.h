@@ -34,8 +34,9 @@
 // A corrupt snapshot therefore degrades throughput, never correctness; a
 // corrupt journal *header* is a hard kDataLoss (the journal is the source
 // of truth — silently dropping it would lose accepted constraints).
-// Replay goes through the engine's incremental AddConstraint path and is
-// idempotent, so records also covered by the snapshot are no-ops.
+// Replay goes through the engine's admission check and incremental
+// AddConstraint path and is idempotent (one hash probe per record), so
+// records also covered by the snapshot are no-ops.
 //
 // Thread-compatibility: DurablePdEngine is single-writer; serialize all
 // calls externally (same contract as the underlying engine's mutators).
@@ -126,14 +127,18 @@ struct DurabilityOptions {
 
 /// A PdImplicationEngine wrapped in snapshot + journal durability.
 ///
-/// Write path: AddPd journals the constraint (fsync) BEFORE applying it —
-/// an acknowledged constraint survives any later crash — then applies it
-/// through the engine's incremental path and, every checkpoint_every
-/// acceptances, rewrites the snapshot. Checkpoint failures (a closure
-/// trip, deadline, injected I/O fault, full disk) never fail AddPd: the
-/// journal already holds the record, so durability is preserved and only
-/// the next recovery's warm-start quality degrades; the error is retained
-/// in last_checkpoint_status().
+/// Write path: AddPd admits the constraint (dedupe, vertex budget, ctx)
+/// and journals it (fsync) BEFORE applying it — an acknowledged
+/// constraint survives any later crash, a rejected one leaves no record —
+/// then applies it through the engine's incremental path and, every
+/// checkpoint_every acceptances, rewrites the snapshot. Checkpoint
+/// failures (a closure trip, deadline, injected I/O fault, full disk)
+/// never fail AddPd: the journal already holds the record, so durability
+/// is preserved and only the next recovery's warm-start quality degrades;
+/// the error is retained in last_checkpoint_status().
+///
+/// With neither snapshot_path nor journal_path set it is a plain
+/// in-memory engine behind the same interface.
 class DurablePdEngine {
  public:
   /// Recovers (or cold-starts) an engine for `base` + whatever the
@@ -143,10 +148,12 @@ class DurablePdEngine {
       ExprArena* arena, std::vector<Pd> base, DurabilityOptions options,
       const ExecContext& ctx = ExecContext::Unbounded());
 
-  /// Durably accepts one constraint (journal -> engine -> maybe
-  /// checkpoint). Duplicates of constraints already in E return OK
-  /// without journaling. kIoError if the journal append fails — the
-  /// constraint is then NOT applied and may be retried.
+  /// Durably accepts one constraint (admission -> journal -> engine ->
+  /// maybe checkpoint). The engine's AdmitConstraint runs first:
+  /// duplicates of constraints already in E return OK, and a vertex-budget
+  /// or ctx trip returns its status, both without journaling. kIoError if
+  /// the journal append fails — the constraint is then NOT applied and
+  /// may be retried.
   Status AddPd(const Pd& pd, const ExecContext& ctx);
 
   /// Closes the engine under `ctx` (Prepare), then writes a snapshot of

@@ -8,17 +8,10 @@ Status PdTheory::AddParsed(std::string_view text) {
   return Status::OK();
 }
 
-PdImplicationEngine& PdTheory::engine() {
-  if (!engine_) {
-    engine_ = std::make_unique<PdImplicationEngine>(arena_.get(), pds_);
-  }
-  return *engine_;
-}
-
-bool PdTheory::Implies(const Pd& query) { return engine().Implies(query); }
+bool PdTheory::Implies(const Pd& query) { return engine_.Implies(query); }
 
 std::vector<bool> PdTheory::BatchImplies(std::span<const Pd> queries) {
-  return engine().BatchImplies(queries);
+  return engine_.BatchImplies(queries);
 }
 
 Result<std::vector<bool>> PdTheory::BatchImpliesParsed(
@@ -38,17 +31,11 @@ Result<bool> PdTheory::ImpliesParsed(std::string_view text) {
 }
 
 bool PdTheory::Equivalent(const Pd& a, const Pd& b) {
-  PdImplicationEngine with_a(arena_.get(), [&] {
-    auto e = pds_;
-    e.push_back(a);
-    return e;
-  }());
+  PdImplicationEngine with_a(arena_.get(), pds());
+  with_a.AddConstraint(a);
   if (!with_a.Implies(b)) return false;
-  PdImplicationEngine with_b(arena_.get(), [&] {
-    auto e = pds_;
-    e.push_back(b);
-    return e;
-  }());
+  PdImplicationEngine with_b(arena_.get(), pds());
+  with_b.AddConstraint(b);
   return with_b.Implies(a);
 }
 
@@ -58,7 +45,7 @@ bool PdTheory::IsIdentity(const Pd& pd) const {
 }
 
 Result<Proof> PdTheory::Explain(const Pd& query) {
-  ProvenanceEngine prover(arena_.get(), pds_);
+  ProvenanceEngine prover(arena_.get(), pds());
   return prover.Prove(query);
 }
 
@@ -70,12 +57,12 @@ Result<std::string> PdTheory::ExplainText(std::string_view query_text) {
 
 std::optional<CounterModel> PdTheory::FindCounterexample(
     const Pd& query, std::size_t max_population) const {
-  return FindCounterModel(*arena_, pds_, query, max_population);
+  return FindCounterModel(*arena_, pds(), query, max_population);
 }
 
 Result<bool> PdTheory::SatisfiedBy(const Database& db,
                                    const Relation& r) const {
-  for (const Pd& pd : pds_) {
+  for (const Pd& pd : pds()) {
     PSEM_ASSIGN_OR_RETURN(bool ok, RelationSatisfiesPd(db, r, *arena_, pd));
     if (!ok) return false;
   }

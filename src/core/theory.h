@@ -1,8 +1,9 @@
 /// @file theory.h
 /// @brief PdTheory, the library facade for PD reasoning.
 
-// PdTheory: the library's main facade. Owns an expression arena and a set
-// of partition dependencies; answers implication queries (Algorithm ALG,
+// PdTheory: the library's main facade. Owns an expression arena and an
+// ALG engine that holds the set E of partition dependencies (E is stored
+// there and nowhere else); answers implication queries (Algorithm ALG,
 // Theorem 9), identity queries (Whitman rules, Theorem 10), and
 // satisfaction queries against relations, interpretations, and finite
 // lattices.
@@ -35,22 +36,23 @@ namespace psem {
 ///   t.ImpliesParsed("A <= C");       // -> true
 class PdTheory {
  public:
-  PdTheory() : arena_(std::make_unique<ExprArena>()) {}
+  PdTheory()
+      : arena_(std::make_unique<ExprArena>()),
+        engine_(arena_.get(), std::vector<Pd>{}) {}
 
   ExprArena& arena() { return *arena_; }
   const ExprArena& arena() const { return *arena_; }
 
-  /// Adds a PD. A live engine grows in place (AddConstraint warm-starts
+  /// Adds a PD to E. The engine grows in place (AddConstraint warm-starts
   /// the next closure from the current one) instead of being rebuilt.
-  void Add(const Pd& pd) {
-    pds_.push_back(pd);
-    if (engine_) engine_->AddConstraint(pd);
-  }
+  /// E is a set: re-adding a PD already in E changes nothing.
+  void Add(const Pd& pd) { engine_.AddConstraint(pd); }
 
   /// Parses and adds "e = e'" or "e <= e'" (see ExprArena::ParsePd).
   Status AddParsed(std::string_view text);
 
-  const std::vector<Pd>& pds() const { return pds_; }
+  /// E in insertion order, each PD once: the engine's constraints().
+  const std::vector<Pd>& pds() const { return engine_.constraints(); }
 
   /// E |= query over lattices = over finite lattices = over relations =
   /// over finite relations (Theorem 8), decided in polynomial time
@@ -97,13 +99,12 @@ class PdTheory {
   std::optional<CounterModel> FindCounterexample(
       const Pd& query, std::size_t max_population = 4) const;
 
-  /// Access to the (lazily built) ALG engine, e.g. for stats.
-  PdImplicationEngine& engine();
+  /// The ALG engine that holds E, e.g. for stats.
+  PdImplicationEngine& engine() { return engine_; }
 
  private:
-  std::unique_ptr<ExprArena> arena_;
-  std::vector<Pd> pds_;
-  std::unique_ptr<PdImplicationEngine> engine_;
+  std::unique_ptr<ExprArena> arena_;  // heap-held: engine_ points into it
+  PdImplicationEngine engine_;
 };
 
 }  // namespace psem

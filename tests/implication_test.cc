@@ -138,6 +138,51 @@ TEST(PdImplicationTest, IncrementalQueriesExtendV) {
   EXPECT_FALSE(engine.Implies(*arena.ParsePd("B <= A")));
 }
 
+// E is a set: the constructor adds through AddConstraint's dedupe, so a
+// repeated constraint is kept once, at its first position. The same pair
+// as an equation and as an inequality are two different constraints.
+TEST(ImplicationTest, ConstructorDedupesConstraints) {
+  ExprArena arena;
+  const Pd p = *arena.ParsePd("A <= B*C");
+  const Pd q = *arena.ParsePd("C = A+D");
+  const Pd p_eq = Pd::Eq(p.lhs, p.rhs);
+  PdImplicationEngine engine(&arena, {p, q, p, p_eq, q, p});
+  EXPECT_EQ(engine.constraints(), (std::vector<Pd>{p, q, p_eq}));
+  EXPECT_TRUE(engine.HasConstraint(p));
+  EXPECT_TRUE(engine.HasConstraint(p_eq));
+  EXPECT_FALSE(engine.HasConstraint(Pd::Leq(q.lhs, q.rhs)));
+
+  PdImplicationEngine once(&arena, {p, q, p_eq});
+  engine.Prepare({});
+  once.Prepare({});
+  EXPECT_EQ(engine.vertices(), once.vertices());
+  EXPECT_EQ(engine.stats().num_arcs, once.stats().num_arcs);
+  EXPECT_TRUE(engine.Implies(*arena.ParsePd("B*C <= A")));
+}
+
+// RestoreEngineState adds E through AddConstraint too: a snapshot that
+// lists a constraint twice restores it once, already planted.
+TEST(ImplicationTest, RestoreDedupesConstraints) {
+  ExprArena arena;
+  const Pd p = *arena.ParsePd("A <= B*C");
+  const Pd q = *arena.ParsePd("C = A+D");
+  PdImplicationEngine source(&arena, {p, q});
+  source.Prepare({});
+  auto state = source.ExportClosureState();
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+
+  PdImplicationEngine restored(&arena, {});
+  ASSERT_TRUE(restored
+                  .RestoreEngineState(source.vertices(), {p, q, p, q},
+                                      std::move(*state))
+                  .ok());
+  EXPECT_EQ(restored.constraints(), (std::vector<Pd>{p, q}));
+  restored.AddConstraint(p);
+  EXPECT_EQ(restored.constraints().size(), 2u);
+  EXPECT_TRUE(restored.Implies(*arena.ParsePd("A <= B")));
+  EXPECT_EQ(restored.stats().cold_closures, 0u);
+}
+
 // --- random generators --------------------------------------------------------
 
 ExprId RandomExpr(ExprArena* arena, Rng* rng, int num_attrs, int ops) {

@@ -709,6 +709,37 @@ TEST_F(SnapshotTest, CheckpointFaultDoesNotFailAddPd) {
   EXPECT_EQ(r->engine().constraints().size(), base.size() + 2);
 }
 
+// AddPd runs the engine's whole admission check before the journal
+// append: a PD the vertex budget rejects leaves the journal byte-identical
+// and never comes back through recovery.
+TEST_F(SnapshotTest, BudgetRejectedAddPdIsNotJournaled) {
+  ExprArena arena;
+  auto base = BaseTheory(&arena);
+  {
+    auto d = DurablePdEngine::Recover(&arena, base, Opts(/*checkpoint_every=*/0));
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    ASSERT_TRUE(d->AddPd(*arena.ParsePd("E <= A"), ExecContext::Unbounded()).ok());
+    auto before = ReadFileBounded(journal_);
+    ASSERT_TRUE(before.ok());
+
+    // No room for a single new vertex.
+    ExecContext tight;
+    tight.WithMaxVertices(d->engine().vertices().size());
+    Status st = d->AddPd(*arena.ParsePd("F <= A*G"), tight);
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+    EXPECT_EQ(*ReadFileBounded(journal_), *before);
+    EXPECT_EQ(d->engine().constraints().size(), base.size() + 1);
+  }
+
+  ExprArena arena2;
+  auto base2 = BaseTheory(&arena2);
+  auto d = DurablePdEngine::Recover(&arena2, base2, Opts());
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d->recovery().journal_records, 1u);
+  EXPECT_EQ(d->engine().constraints().size(), base.size() + 1);
+  EXPECT_FALSE(d->engine().HasConstraint(*arena2.ParsePd("F <= A*G")));
+}
+
 // Checkpoint closes the engine before writing. A closure that trips the
 // context fails the checkpoint (leaving the previous snapshot alone) but
 // never the accept; an unbounded checkpoint then closes and writes, and

@@ -58,6 +58,25 @@ TEST(PdTheoryTest, AddGrowsTheLiveEngine) {
   EXPECT_GE(grown.engine().stats().incremental_closures, 1u);
 }
 
+// E is stored once, in the engine: two Adds of one PD leave one copy,
+// whether or not engine() was called between them, and pds() and
+// engine().constraints() agree before and after engine() is first called.
+TEST(PdTheoryTest, DuplicateAddIsOrderIndependent) {
+  for (bool engine_first : {false, true}) {
+    SCOPED_TRACE(engine_first ? "engine() between the Adds"
+                              : "engine() after the Adds");
+    PdTheory t;
+    ASSERT_TRUE(t.AddParsed("A <= B*C").ok());
+    if (engine_first) EXPECT_EQ(t.engine().constraints().size(), 1u);
+    ASSERT_TRUE(t.AddParsed("A <= B*C").ok());
+    EXPECT_EQ(t.pds().size(), 1u);
+    EXPECT_EQ(t.engine().constraints().size(), 1u);
+    EXPECT_EQ(t.pds().size(), 1u);
+    EXPECT_EQ(&t.pds(), &t.engine().constraints());
+    EXPECT_TRUE(*t.ImpliesParsed("A <= B"));
+  }
+}
+
 TEST(PdTheoryTest, EquivalentPds) {
   PdTheory t;
   Pd a = *t.arena().ParsePd("X = X*Y");
