@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "psem.h"
 #include "workloads.h"
 
@@ -134,6 +136,46 @@ void BM_ClosureDenseRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosureDenseRandom)
     ->Arg(512)->Arg(2048)->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
+
+// The write path on a closed chain: one chain-extending AddConstraint
+// (A(top) <= A(top+1), a new top vertex) plus Prepare({}) per iteration.
+// The new arc reaches every one of the ~n predecessors of the old top,
+// which is what made one write cost more than the cold closure of the
+// whole chain before the backward join stopped re-pushing it. The engine
+// is rebuilt outside the timed region every kRebuildEvery writes, so the
+// chain never outgrows its range arg by more than that.
+void BM_IncrementalChainWrite(benchmark::State& state) {
+  constexpr int kRebuildEvery = 32;
+  const int n = static_cast<int>(state.range(0));
+  ExprArena arena;
+  std::vector<Pd> pds = ChainTheory(&arena, n);
+  std::unique_ptr<PdImplicationEngine> engine;
+  auto attr = [&](int k) {
+    std::string name = "A";
+    name += std::to_string(k);
+    return arena.Attr(name);
+  };
+  int top = 0;
+  std::size_t arcs = 0;
+  for (auto _ : state) {
+    if (top == 0 || top - (n - 1) >= kRebuildEvery) {
+      state.PauseTiming();
+      engine = std::make_unique<PdImplicationEngine>(&arena, pds);
+      engine->Prepare({});
+      top = n - 1;
+      state.ResumeTiming();
+    }
+    engine->AddConstraint(Pd::Leq(attr(top), attr(top + 1)));
+    engine->Prepare({});
+    ++top;
+    benchmark::DoNotOptimize(engine->stats().num_arcs);
+    arcs = engine->stats().num_arcs;
+  }
+  state.counters["arcs"] = static_cast<double>(arcs);
+  state.SetComplexityN(n);
+}
+BENCHMARK(BM_IncrementalChainWrite)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 // Repeated queries against one prepared engine (the amortized mode).

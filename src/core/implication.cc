@@ -134,10 +134,12 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
       up_[i].Resize(n);
       delta_up_[i].Resize(n);
       down_[i].Resize(n);
+      if (tag_[i].size() != 0) tag_[i].Resize(n);
     }
     up_.resize(n);
     delta_up_.resize(n);
     down_.resize(n);
+    tag_.resize(n);
     dirty_rows_.Resize(n);
     for (std::size_t i = old_n; i < n; ++i) {
       up_[i] = DynamicBitset(n);
@@ -228,11 +230,13 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
     return st;
   }
 #ifndef NDEBUG
-  // Audit the incremental counter against a one-off recount (debug
-  // builds only — never a per-pass scan).
+  // Audit the incremental counter against a one-off recount, and check
+  // that a closed engine holds no tag rows (debug builds only — never a
+  // per-pass scan).
   std::size_t audit = 0;
   for (const DynamicBitset& row : up_) audit += row.Count();
   assert(audit == arc_count_);
+  for (const DynamicBitset& tags : tag_) assert(tags.size() == 0);
 #endif
   closure_valid_ = true;
   return Status::OK();
@@ -243,13 +247,20 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
 //   (a) delta_up_[i] ⊆ up_[i] and holds exactly row i's unconsumed arcs;
 //   (b) dirty_rows_.Test(i) whenever delta_up_[i] is nonempty;
 //   (c) down_[j] ∋ i exactly for the *consumed* arcs (i, j);
-//   (d) arc_count_ == |up_| (each up_ bit transition bumped it once).
+//   (d) arc_count_ == |up_| (each up_ bit transition bumped it once);
+//   (e) tag_[p] ⊆ delta_up_[p], and every g ∈ tag_[p] has a witness s
+//       with (p, s) and (s, g) both consumed: the sparse backward join
+//       of row s tags what it leaves on the frontier of p ∈ down_[s].
 // Every consequence of a consumed arc is either derived at consumption
 // time (forward transitivity, per-arc column rules) or guaranteed to be
 // derived when a future delta is consumed (backward transitivity through
 // down_, parent pulls through parents_) — so when every frontier is
 // empty, no rule instance is left unapplied and up_ is the least
-// fixpoint of Lemma 9.2.
+// fixpoint of Lemma 9.2. A tagged arc (p, g) skips only its backward
+// push: a predecessor q of p gets (q, s) from (q, p), (p, s), and then g
+// from (q, s), (s, g) — two transitivity instances whose second arc was
+// consumed before (p, g), so induction on that consumption order closes
+// the argument (docs/architecture.md).
 Status PdImplicationEngine::DeltaFixpointSerial(const ExecContext& ctx) {
   const std::size_t n = vertices_.size();
   const bool governed = !ctx.unbounded();
@@ -305,9 +316,11 @@ Status PdImplicationEngine::DeltaFixpointSerial(const ExecContext& ctx) {
 //                 join (word-parallel, skips j's empty words);
 //   rules 5/4   — parents of j probe the single bit (i, parent).
 // After the row drains, with S = everything consumed from it this visit:
-//   rule 7 bwd  — every predecessor p ∈ down_[i] takes S (delta-width);
+//   rule 7 bwd  — every predecessor p ∈ down_[i] takes S minus the bits
+//                 tagged in row i (invariant (e)), over S's occupied word
+//                 span, and tags what it leaves on p's frontier;
 //   rules 3/2   — every parent of i takes S (product) or S ∩ sibling row
-//                 (sum), word-parallel.
+//                 (sum), word-parallel over the same span.
 Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
                                         const ExecContext& ctx,
                                         std::size_t* consumed_strider) {
@@ -316,6 +329,7 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
   const auto rules_start = SteadyClock::now();
   DynamicBitset scratch(n);
   DynamicBitset gained(n);
+  DynamicBitset pushed(n);
   // Descending index order: AddVertex interns children before parents and
   // theories tend to be written low-to-high, so high rows settle first
   // and most consumptions below hit the settled-source fast path.
@@ -375,22 +389,37 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
         }
       }
     }
-    // Rule 7, delta on the right: predecessors absorb the drained bits.
-    for (std::size_t p = down_[i].NextSetBit(0); p < n;
-         p = down_[i].NextSetBit(p + 1)) {
-      if (p == i) continue;
-      std::size_t added = up_[p].OrInPlaceCountNew(scratch, &delta_up_[p]);
-      if (added) {
-        arc_count_ += added;
-        dirty_rows_.Set(static_cast<uint32_t>(p));
+    // Rule 7, delta on the right: predecessors absorb the drained bits,
+    // minus the tagged ones (invariant (e)); what they take is tagged in
+    // turn. A tag row lives only while its row holds tagged bits.
+    const auto [first_word, end_word] = scratch.WordSpan();
+    const DynamicBitset* push = &scratch;
+    if (tag_[i].size() != 0) {
+      pushed = scratch;
+      pushed.SubtractWith(tag_[i]);
+      push = &pushed;
+      tag_[i] = DynamicBitset();
+    }
+    if (push == &scratch || push->Any()) {
+      for (std::size_t p = down_[i].NextSetBit(0); p < n;
+           p = down_[i].NextSetBit(p + 1)) {
+        if (p == i) continue;
+        std::size_t added = up_[p].OrInPlaceCountNew(
+            *push, first_word, end_word, &delta_up_[p], &tag_[p]);
+        if (added) {
+          arc_count_ += added;
+          dirty_rows_.Set(static_cast<uint32_t>(p));
+        }
       }
     }
     // Rules 3/2: parents absorb the drained bits.
     for (const auto& [m, o] : parents_[i]) {
       std::size_t added =
           kind_[m] == ExprKind::kProduct
-              ? up_[m].OrInPlaceCountNew(scratch, &delta_up_[m])
-              : up_[m].OrAndInPlaceCountNew(scratch, up_[o], &delta_up_[m]);
+              ? up_[m].OrInPlaceCountNew(scratch, first_word, end_word,
+                                         &delta_up_[m])
+              : up_[m].OrAndInPlaceCountNew(scratch, up_[o], first_word,
+                                            end_word, &delta_up_[m]);
       if (added) {
         arc_count_ += added;
         dirty_rows_.Set(m);
@@ -422,6 +451,8 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
   DynamicBitset carry_mask(n);
   for (uint32_t i : worklist) {
     carry[i] = std::exchange(delta_up_[i], DynamicBitset(n));
+    // A dense round pushes every carried bit backward, so tags are moot.
+    tag_[i] = DynamicBitset();
     if (carry[i].Any()) carry_mask.Set(i);
     dirty_rows_.Reset(i);
   }
@@ -437,29 +468,19 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
     return st;
   };
 
-  // Incremental transpose: scatter the frozen frontier into down_ one
-  // 64-column stripe at a time, so the 64 destination rows of down_ a
-  // stripe touches stay cache-resident across the whole worklist.
+  // Incremental transpose: the frozen frontier goes into down_ through
+  // the blocked 64x64 transpose kernel (rows off the worklist have no
+  // carry and cost only their tiles' gather).
   auto transpose_start = SteadyClock::now();
-  for (std::size_t wk = 0; wk < words; ++wk) {
-    if (governed) {
-      Status st = governed_check();
-      if (!st.ok()) {
-        restore();
-        stats_.transpose_seconds += SecondsSince(transpose_start);
-        return st;
-      }
-    }
-    for (uint32_t i : worklist) {
-      uint64_t w = carry[i].word(wk);
-      while (w) {
-        const std::size_t j =
-            (wk << 6) + static_cast<std::size_t>(__builtin_ctzll(w));
-        w &= w - 1;
-        down_[j].Set(i);
-      }
+  if (governed) {
+    Status st = governed_check();
+    if (!st.ok()) {
+      restore();
+      stats_.transpose_seconds += SecondsSince(transpose_start);
+      return st;
     }
   }
+  DynamicBitset::OrTransposeInto(carry, &down_);
   stats_.transpose_seconds += SecondsSince(transpose_start);
 
   // Rules 5/4 per frozen arc: parents of j probe the single bit (i, m).
@@ -688,10 +709,9 @@ Status PdImplicationEngine::RestoreEngineState(
   // and down_ is the full transpose of up_.
   delta_up_.assign(n, DynamicBitset(n));
   dirty_rows_ = DynamicBitset(n);
+  tag_.assign(n, DynamicBitset());
   down_.assign(n, DynamicBitset(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    up_[i].ForEach([&](std::size_t j) { down_[j].Set(i); });
-  }
+  DynamicBitset::OrTransposeInto(up_, &down_);
   seeded_vertices_ = n;
   closure_valid_ = true;
   return Status::OK();

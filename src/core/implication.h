@@ -315,6 +315,13 @@ class PdImplicationEngine {
   // closures resume without reseeding.
   std::vector<DynamicBitset> delta_up_;
   DynamicBitset dirty_rows_;
+  // Frontier bits that need no backward push (invariant (e) in
+  // DeltaFixpointSerial): bits row p took from the sparse round's
+  // backward join of some row s it had consumed an arc to. tag_[p] has
+  // width 0 (no storage) unless row p holds such bits, is always a subset
+  // of delta_up_[p], and is freed when row p drains, so a closed engine
+  // holds no tag rows.
+  std::vector<DynamicBitset> tag_;
   // Exact running arc count: bumped once per up_ bit transition by the
   // OrInPlaceCountNew kernels and TrySetArc; replaces the per-pass
   // full-matrix count scans. Stays exact across aborted closures.

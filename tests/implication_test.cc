@@ -329,6 +329,145 @@ TEST_P(DeltaClosureDifferentialTest, AllConfigurationsMatchNaive) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaClosureDifferentialTest,
                          ::testing::Range(0, 20));
 
+// --- scaled incremental differential -------------------------------------------
+//
+// Theories large enough for multi-round transitivity through the warm
+// start: 3-12 attributes, 2-15 PDs of up to 4 operators, and a chain
+// spine A <= B <= ... in every third theory. Half of E goes to the
+// constructor; the rest arrives one AddConstraint + Prepare({}) at a time,
+// with three queries (which grow V) between additions. Three engines —
+// default, forced dense, and arc-budget abort/resume — take every step in
+// lockstep. After each step all three must hold the same V and a cold
+// engine's arc count over that E and V, and answer every query as that
+// cold engine and, wherever |V| keeps it cheap, as ProvenanceEngine does.
+
+class ScaledIncrementalDifferentialTest
+    : public ::testing::TestWithParam<int> {};
+
+TEST_P(ScaledIncrementalDifferentialTest, EveryStepMatchesAColdEngine) {
+  constexpr std::size_t kProvenanceMaxVertices = 24;
+  constexpr int kTrials = 3;
+  enum Config { kDefault, kForcedDense, kBudgetResume, kNumConfigs };
+  Rng rng(12000 + GetParam());
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const int theory = GetParam() * kTrials + trial;
+    ExprArena arena;
+    const int num_attrs = 3 + static_cast<int>(rng.Below(10));
+    std::vector<Pd> e = RandomTheory(&arena, &rng, num_attrs,
+                                     2 + static_cast<int>(rng.Below(14)), 4);
+    if (theory % 3 == 0) {
+      auto attr = [&](int k) {
+        return arena.Attr(std::string(1, static_cast<char>('A' + k)));
+      };
+      for (int k = 0; k + 1 < num_attrs; ++k) {
+        e.push_back(Pd::Leq(attr(k), attr(k + 1)));
+      }
+    }
+    for (std::size_t k = e.size(); k > 1; --k) {
+      std::swap(e[k - 1], e[rng.Below(k)]);
+    }
+    const std::size_t split = e.size() / 2;
+    std::vector<Pd> current(e.begin(), e.begin() + split);
+
+    EngineOptions dense;
+    dense.dense_min_rows = 1;
+    dense.dense_inv_density = SIZE_MAX;
+    std::vector<PdImplicationEngine> engines;
+    engines.emplace_back(&arena, current);
+    engines.emplace_back(&arena, current, dense);
+    engines.emplace_back(&arena, current);
+    // Runs one governed call on engine c to completion; the budget-resume
+    // engine is first aborted by escalating arc budgets and resumed.
+    auto governed = [&](int c, auto call) {
+      uint64_t budget = c == kBudgetResume ? 1 : 0;
+      while (true) {
+        ExecContext ctx;
+        if (budget != 0) ctx.WithMaxArcs(budget);
+        Result<bool> r = call(engines[c], ctx);
+        if (r.ok() || budget == 0) return r;
+        budget *= 4;
+      }
+    };
+    auto prepare = [](PdImplicationEngine& engine,
+                      const ExecContext& ctx) -> Result<bool> {
+      PSEM_RETURN_IF_ERROR(engine.Prepare({}, ctx));
+      return true;
+    };
+    auto where = [&](const std::string& step, int c) {
+      std::string s = step;
+      s += " config ";
+      s += std::to_string(c);
+      s += " E:";
+      for (const Pd& pd : current) {
+        s += ' ';
+        s += arena.ToString(pd);
+        s += ';';
+      }
+      return s;
+    };
+    // One step: `call` on every engine (its verdicts into *verdicts), then
+    // the comparison with a cold engine, which is returned.
+    auto step = [&](const std::string& name, auto call,
+                    std::vector<bool>* verdicts) {
+      verdicts->clear();
+      for (int c = 0; c < kNumConfigs; ++c) {
+        Result<bool> r = governed(c, call);
+        EXPECT_TRUE(r.ok()) << where(name, c) << ": " << r.status().ToString();
+        verdicts->push_back(r.ok() && *r);
+      }
+      PdImplicationEngine cold(&arena, current);
+      cold.Prepare(engines[kDefault].vertices());
+      for (int c = 0; c < kNumConfigs; ++c) {
+        EXPECT_EQ(engines[c].vertices(), engines[kDefault].vertices())
+            << where(name, c);
+        EXPECT_EQ(engines[c].stats().num_arcs, cold.stats().num_arcs)
+            << where(name, c);
+      }
+      return cold;
+    };
+
+    std::vector<bool> verdicts;
+    step("constructor", prepare, &verdicts);
+    ASSERT_FALSE(HasFailure());
+    for (std::size_t stage = 0;; ++stage) {
+      ProvenanceEngine reference(&arena, current);
+      for (int k = 0; k < 3; ++k) {
+        ExprId l = RandomExpr(&arena, &rng, num_attrs,
+                              static_cast<int>(rng.Below(4)));
+        ExprId r = RandomExpr(&arena, &rng, num_attrs,
+                              static_cast<int>(rng.Below(4)));
+        const Pd q = rng.Chance(1, 2) ? Pd::Leq(l, r) : Pd::Eq(l, r);
+        const std::string name = "query " + arena.ToString(q);
+        PdImplicationEngine cold = step(
+            name,
+            [&](PdImplicationEngine& engine, const ExecContext& ctx) {
+              return engine.Implies(q, ctx);
+            },
+            &verdicts);
+        const bool want = cold.Implies(q);
+        if (cold.vertices().size() <= kProvenanceMaxVertices) {
+          EXPECT_EQ(want, reference.Prove(q).ok()) << where(name, kDefault);
+        }
+        for (int c = 0; c < kNumConfigs; ++c) {
+          EXPECT_EQ(verdicts[c], want) << where(name, c);
+        }
+        ASSERT_FALSE(HasFailure());
+      }
+      if (split + stage == e.size()) break;
+      current.push_back(e[split + stage]);
+      for (PdImplicationEngine& engine : engines) {
+        engine.AddConstraint(current.back());
+      }
+      step("addition", prepare, &verdicts);
+      ASSERT_FALSE(HasFailure());
+    }
+    ASSERT_GE(engines[kBudgetResume].stats().aborted_closures, 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScaledIncrementalDifferentialTest,
+                         ::testing::Range(0, 10));
+
 // --- soundness against lattice models ------------------------------------------
 
 class AlgSoundnessTest : public ::testing::TestWithParam<int> {};

@@ -97,6 +97,58 @@ TEST_F(SnapshotTest, EncodeDecodeRoundTripsClosureState) {
   }
 }
 
+// RestoreEngineState rebuilds down_ with the blocked transpose, and the
+// first incremental closure after a restore reads it: new composites over
+// restored children take their column arcs from down_ in the catch-up.
+// Chains that straddle the 64-bit tile edges, restored and then extended
+// with a query over new Ai*Ax / Aj+Ay sides, must close exactly as a cold
+// engine over the same E and V does.
+TEST_F(SnapshotTest, RestoredChainExtendsLikeAColdEngine) {
+  for (int n : {63, 64, 65, 130}) {
+    ExprArena arena;
+    auto attr = [&](int k) { return arena.Attr("A" + std::to_string(k)); };
+    std::vector<Pd> chain;
+    for (int k = 0; k + 1 < n; ++k) {
+      chain.push_back(Pd::Leq(attr(k), attr(k + 1)));
+    }
+    PdImplicationEngine engine(&arena, chain);
+    engine.Prepare({});
+    auto bytes = EncodeSnapshot(engine, TheoryFingerprint(arena, chain));
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    auto snap = DecodeSnapshot(*bytes, &arena);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    PdImplicationEngine restored(&arena, {});
+    ASSERT_TRUE(restored
+                    .RestoreEngineState(snap->vertices,
+                                        std::move(snap->constraints),
+                                        std::move(snap->state))
+                    .ok());
+
+    std::vector<Pd> grown = chain;
+    grown.push_back(Pd::Leq(attr(n - 1), attr(n)));
+    restored.AddConstraint(grown.back());
+    const Pd implied = Pd::Leq(arena.Product(attr(1), attr(n)),
+                               arena.Sum(attr(n / 2), attr(n - 2)));
+    const Pd not_implied = Pd::Leq(arena.Product(attr(n - 1), attr(n)),
+                                   arena.Sum(attr(n / 2), attr(3)));
+    EXPECT_TRUE(restored.Implies(implied)) << "n " << n;
+    EXPECT_FALSE(restored.Implies(not_implied)) << "n " << n;
+    EXPECT_EQ(restored.stats().cold_closures, 0u);
+
+    PdImplicationEngine cold(&arena, grown);
+    cold.Prepare(restored.vertices());
+    ASSERT_EQ(restored.vertices().size(), cold.vertices().size());
+    EXPECT_EQ(restored.stats().num_arcs, cold.stats().num_arcs) << "n " << n;
+    for (ExprId a : restored.vertices()) {
+      for (ExprId b : restored.vertices()) {
+        ASSERT_EQ(restored.LeqInClosure(a, b), cold.LeqInClosure(a, b))
+            << "n " << n << ": " << arena.ToString(a) << " <= "
+            << arena.ToString(b);
+      }
+    }
+  }
+}
+
 TEST_F(SnapshotTest, DecodeRejectsCorruptBytes) {
   ExprArena arena;
   auto base = BaseTheory(&arena);

@@ -328,6 +328,70 @@ TEST(BitsetTest, OrWithMatchesUnionWith) {
   }
 }
 
+TEST(BitsetTest, SpanBoundedKernelsTouchOnlyTheSpan) {
+  DynamicBitset dst(300), src(300), newly(300), tagged;
+  src.Set(70);
+  src.Set(130);
+  dst.Set(130);
+  EXPECT_EQ(src.WordSpan(), (std::pair<std::size_t, std::size_t>{1, 3}));
+  EXPECT_EQ(DynamicBitset(300).WordSpan(),
+            (std::pair<std::size_t, std::size_t>{0, 0}));
+  // A span that misses the source's bits adds nothing and materializes
+  // nothing.
+  EXPECT_EQ(dst.OrInPlaceCountNew(src, 3, 5, &newly, &tagged), 0u);
+  EXPECT_EQ(tagged.size(), 0u);
+  // The occupied span adds exactly the fresh bit, into both outputs.
+  EXPECT_EQ(dst.OrInPlaceCountNew(src, 1, 3, &newly, &tagged), 1u);
+  EXPECT_EQ(tagged.size(), 300u);
+  EXPECT_TRUE(dst.Test(70) && dst.Test(130));
+  EXPECT_EQ(newly.Count(), 1u);
+  EXPECT_TRUE(newly.Test(70));
+  EXPECT_EQ(tagged, newly);
+  DynamicBitset meet(300);
+  EXPECT_EQ(meet.OrAndInPlaceCountNew(src, dst, 1, 3), 2u);
+  EXPECT_EQ(meet, src);
+}
+
+// The blocked transpose against a per-bit transpose, at sizes around
+// the 64-bit tile edges and at sparse and dense fill. The kernel ORs into
+// the destination, treats width-0 rows as empty, and must leave the tail
+// bits past each column's width clear.
+TEST(BitsetTest, BlockedTransposeMatchesPerBitTranspose) {
+  Rng rng(2024);
+  for (std::size_t n : {1, 63, 64, 65, 127, 128, 129, 1000}) {
+    for (uint64_t fill_den : {64, 2}) {
+      std::vector<DynamicBitset> rows(n, DynamicBitset(n));
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i % 7 == 3) {
+          rows[i] = DynamicBitset();  // an unmaterialized row
+          continue;
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+          if (rng.Below(fill_den) == 0) rows[i].Set(j);
+        }
+      }
+      std::vector<DynamicBitset> cols(n, DynamicBitset(n));
+      std::vector<DynamicBitset> want(n, DynamicBitset(n));
+      for (std::size_t j = 0; j < n; ++j) {
+        if (rng.Below(16) == 0) {
+          const std::size_t i = rng.Below(n);
+          cols[j].Set(i);  // pre-existing bits must survive the OR
+          want[j].Set(i);
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        rows[i].ForEach([&](std::size_t j) { want[j].Set(i); });
+      }
+      DynamicBitset::OrTransposeInto(rows, &cols);
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(cols[j], want[j])
+            << "n " << n << " fill 1/" << fill_den << " column " << j;
+        ASSERT_EQ(cols[j].Count(), want[j].Count());
+      }
+    }
+  }
+}
+
 TEST(BitsetTest, CountNewKernelsOnZeroLengthSets) {
   DynamicBitset a(0), b(0), newly(0);
   EXPECT_EQ(a.OrInPlaceCountNew(b), 0u);
