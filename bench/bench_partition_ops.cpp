@@ -133,6 +133,27 @@ void BM_DenseStrippedProduct(benchmark::State& state) {
 BENCHMARK(BM_DenseStrippedProduct)->Arg(256)->Arg(1024)->Arg(4096)
     ->Arg(16384)->Arg(131072)->Complexity();
 
+void BM_DenseStrippedProductRefines(benchmark::State& state) {
+  // FD discovery's check "does x * col refine y?" answered without
+  // building x * col. Same x and col as BM_DenseStrippedProduct; y is
+  // the product itself, so the check holds and scans every cluster.
+  Rng rng = MakeBenchRng(3);
+  std::size_t n = static_cast<std::size_t>(state.range(0));
+  DensePartition x = RandomDense(&rng, n, static_cast<uint32_t>(n / 32 + 2));
+  DensePartition col = RandomDense(&rng, n, static_cast<uint32_t>(n / 8 + 2));
+  DenseOps ops;
+  StrippedPartition sx;
+  DensePartition y;
+  ops.Strip(x, &sx);
+  ops.Product(x, col, &y);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops.StrippedProductRefines(sx, col, y));
+  }
+  state.SetComplexityN(static_cast<int64_t>(n));
+}
+BENCHMARK(BM_DenseStrippedProductRefines)->Arg(256)->Arg(1024)->Arg(4096)
+    ->Arg(16384)->Arg(131072)->Complexity();
+
 void BM_MemoizedEval(benchmark::State& state) {
   // Repeated evaluation of one expression DAG over a fixed
   // interpretation: the steady-state cost of the memoized path (epoch

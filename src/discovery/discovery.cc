@@ -1,12 +1,9 @@
 #include "discovery/discovery.h"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_map>
 
-#include "partition/canonical.h"
 #include "partition/dense.h"
-#include "util/union_find.h"
 
 namespace psem {
 
@@ -55,71 +52,87 @@ Result<std::vector<Fd>> DiscoverFds(const Database& db, const Relation& r,
   DenseOps ops;
   std::vector<DensePartition> column = DenseColumns(r, &ops);
 
-  // Stripped PLI of a column set, cached by mask: singleton blocks never
-  // participate in a refinement violation, so each intersection touches
-  // only the surviving clustered rows (the TANE recipe).
-  std::unordered_map<ColMask, StrippedPartition> set_pli;
-  std::function<const StrippedPartition&(ColMask)> pli_of =
-      [&](ColMask mask) -> const StrippedPartition& {
-    auto it = set_pli.find(mask);
-    if (it != set_pli.end()) return it->second;
-    // Split off the lowest column and recurse.
-    int low = __builtin_ctz(mask);
-    ColMask rest = mask & (mask - 1);
-    StrippedPartition sp;
-    if (rest == 0) {
-      ops.Strip(column[low], &sp);
-    } else {
-      ops.StrippedProduct(pli_of(rest), column[low], &sp);
-    }
-    return set_pli.emplace(mask, std::move(sp)).first->second;
-  };
-
-  // r |= X -> A iff pi_X refines pi_A: every cluster of the X-PLI stays
-  // inside one block of pi_A.
-  auto holds = [&](ColMask x, std::size_t a) {
-    return ops.StrippedRefines(pli_of(x), column[a]);
-  };
-
   std::vector<Fd> out;
   const std::size_t n = db.universe().size();
   // For minimality pruning: for each rhs attr, the set of minimal lhs
   // masks found so far.
   std::vector<std::vector<ColMask>> minimal_lhs(arity);
-  // Levelwise enumeration of lhs masks by popcount.
-  std::vector<ColMask> masks;
-  for (ColMask m = 1; m < (ColMask{1} << arity); ++m) {
-    if (static_cast<std::size_t>(__builtin_popcount(m)) <=
-        options.max_lhs_size) {
-      masks.push_back(m);
+  // X -> a still needs a check: a is outside X and no lhs already found
+  // for a is a subset of X. Only smaller levels can dominate X, so this
+  // is settled for level k + 1 once level k's checks are done.
+  auto open = [&](ColMask x, std::size_t a) {
+    if (x & (ColMask{1} << a)) return false;  // trivial
+    for (ColMask seen : minimal_lhs[a]) {
+      if ((seen & x) == seen) return false;
     }
-  }
-  std::sort(masks.begin(), masks.end(), [](ColMask a, ColMask b) {
-    int pa = __builtin_popcount(a), pb = __builtin_popcount(b);
-    return pa != pb ? pa < pb : a < b;
-  });
-  for (ColMask x : masks) {
+    return true;
+  };
+  auto any_open = [&](ColMask x) {
     for (std::size_t a = 0; a < arity; ++a) {
-      if (x & (ColMask{1} << a)) continue;  // trivial
-      // Minimality: skip if a subset lhs already determines a.
-      bool dominated = false;
-      for (ColMask seen : minimal_lhs[a]) {
-        if ((seen & x) == seen) {
-          dominated = true;
-          break;
-        }
-      }
-      if (dominated) continue;
-      if (!holds(x, a)) continue;
-      minimal_lhs[a].push_back(x);
-      AttrSet lhs(n), rhs(n);
-      for (std::size_t c = 0; c < arity; ++c) {
-        if (x & (ColMask{1} << c)) lhs.Set(r.schema().attrs[c]);
-      }
-      rhs.Set(r.schema().attrs[a]);
-      out.push_back(Fd{std::move(lhs), std::move(rhs)});
-      if (out.size() >= options.max_results) return out;
+      if (open(x, a)) return true;
     }
+    return false;
+  };
+  // The masks of one level in ascending order (Gosper's hack).
+  auto level_masks = [&](std::size_t k) {
+    std::vector<ColMask> masks;
+    const ColMask end = ColMask{1} << arity;
+    for (ColMask m = (ColMask{1} << k) - 1; m < end;) {
+      masks.push_back(m);
+      ColMask low = m & -m;
+      ColMask ripple = m + low;
+      m = (((ripple ^ m) >> 2) / low) | ripple;
+    }
+    return masks;
+  };
+
+  // Stripped PLIs of the previous level, keyed by mask. r |= X -> a iff
+  // pi_X refines pi_a; with X = {low} + rest, that is "does
+  // PLI(rest) * column[low] refine column[a]?", answered without building
+  // PLI(X). Level k's PLIs are built only after its checks, and only for
+  // the rests of level k + 1's open masks; level k - 1 is then dropped,
+  // so at most two levels are held and the top level is never built.
+  // (Every subset of an open mask is open, so each rest's own rest is in
+  // the previous level.)
+  std::unordered_map<ColMask, StrippedPartition> prev, next;
+  const std::size_t top = std::min(options.max_lhs_size, arity);
+  std::vector<ColMask> masks = level_masks(1);
+  for (std::size_t k = 1; k <= top; ++k) {
+    for (ColMask x : masks) {
+      const int low = __builtin_ctz(x);
+      const ColMask rest = x & (x - 1);
+      for (std::size_t a = 0; a < arity; ++a) {
+        if (!open(x, a)) continue;
+        bool holds = rest == 0 ? ops.Refines(column[low], column[a])
+                               : ops.StrippedProductRefines(
+                                     prev.at(rest), column[low], column[a]);
+        if (!holds) continue;
+        minimal_lhs[a].push_back(x);
+        AttrSet lhs(n), rhs(n);
+        for (std::size_t c = 0; c < arity; ++c) {
+          if (x & (ColMask{1} << c)) lhs.Set(r.schema().attrs[c]);
+        }
+        rhs.Set(r.schema().attrs[a]);
+        out.push_back(Fd{std::move(lhs), std::move(rhs)});
+        if (out.size() >= options.max_results) return out;
+      }
+    }
+    if (k == top) break;
+    masks = level_masks(k + 1);
+    next.clear();
+    for (ColMask m : masks) {
+      const ColMask x = m & (m - 1);
+      if (next.contains(x) || !any_open(m)) continue;
+      const int low = __builtin_ctz(x);
+      const ColMask rest = x & (x - 1);
+      StrippedPartition& sp = next[x];
+      if (rest == 0) {
+        ops.Strip(column[low], &sp);
+      } else {
+        ops.StrippedProduct(prev.at(rest), column[low], &sp);
+      }
+    }
+    prev.swap(next);
   }
   return out;
 }
@@ -149,25 +162,42 @@ Result<std::vector<PdPattern>> DiscoverPdPatterns(const Database& db,
   DenseOps ops;
   std::vector<DensePartition> column = DenseColumns(r, &ops);
 
+  // The lattice turns each pattern into refinement tests (Theorem 1):
+  // C = A*B iff C <= A, C <= B and A*B <= C, and the last needs no
+  // product (StrippedProductRefines). For the sum, C <= A+B is free when
+  // A+B is the one-block top, impossible when C has fewer blocks, and
+  // otherwise one scan; C = A+B iff C <= A+B with as many blocks.
+  std::vector<char> refines(arity * arity, 0);
+  for (std::size_t c = 0; c < arity; ++c) {
+    for (std::size_t a = 0; a < arity; ++a) {
+      if (a != c) refines[c * arity + a] = ops.Refines(column[c], column[a]);
+    }
+  }
   std::vector<PdPattern> out;
-  DensePartition prod, sum;
+  StrippedPartition strip_a;
+  DensePartition sum;
   for (std::size_t a = 0; a < arity; ++a) {
+    ops.Strip(column[a], &strip_a);
     for (std::size_t b = a + 1; b < arity; ++b) {
-      ops.Product(column[a], column[b], &prod);
       ops.Sum(column[a], column[b], &sum);
       for (std::size_t c = 0; c < arity; ++c) {
         if (c == a || c == b) continue;
         RelAttrId ca = r.schema().attrs[a];
         RelAttrId cb = r.schema().attrs[b];
         RelAttrId cc = r.schema().attrs[c];
-        if (column[c] == prod) {
+        if (refines[c * arity + a] && refines[c * arity + b] &&
+            ops.StrippedProductRefines(strip_a, column[b], column[c])) {
           out.push_back(PdPattern{PdPattern::Kind::kProduct, cc, ca, cb});
         }
-        if (column[c] == sum) {
-          out.push_back(PdPattern{PdPattern::Kind::kSum, cc, ca, cb});
-        } else if (ops.Refines(column[c], sum)) {
-          out.push_back(PdPattern{PdPattern::Kind::kSumUpper, cc, ca, cb});
-        }
+        const uint32_t blocks = column[c].num_blocks;
+        bool below_sum = sum.num_blocks == 1 ||
+                         (blocks >= sum.num_blocks &&
+                          ops.Refines(column[c], sum));
+        if (!below_sum) continue;
+        out.push_back(PdPattern{blocks == sum.num_blocks
+                                    ? PdPattern::Kind::kSum
+                                    : PdPattern::Kind::kSumUpper,
+                                cc, ca, cb});
       }
     }
   }

@@ -1,12 +1,15 @@
 // Dependency discovery: mining the FDs and PD patterns that hold in a
 // concrete relation, using partition refinement — the paper's semantics
 // run in reverse. By Theorem 3, r |= X -> Y iff pi_X refines pi_Y in the
-// canonical interpretation I(r); counting blocks of partition products
-// decides refinement (|pi_X| = |pi_X * pi_Y| iff pi_X refines pi_Y),
-// which is exactly the engine of TANE-style profilers. On top of the FD
-// lattice search, the module mines the paper's genuinely new patterns:
+// canonical interpretation I(r), and every question here is such a
+// yes/no refinement test. The FD search is TANE-style: stripped
+// partitions (PLIs) of lhs sets, with X = {low} + rest checked as "does
+// PLI(rest) * pi_low refine pi_A?" without building PLI(X), and at most
+// two lattice levels of PLIs held at once. On top of the FD lattice
+// search, the module mines the paper's genuinely new patterns:
 // C = A * B (composite keys), C = A + B (connected components), and
-// C <= A + B.
+// C <= A + B — also as refinement tests and block counts, never by
+// comparing a built product.
 
 #ifndef PSEM_DISCOVERY_DISCOVERY_H_
 #define PSEM_DISCOVERY_DISCOVERY_H_

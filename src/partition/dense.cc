@@ -139,13 +139,14 @@ uint32_t DenseOps::UfFind(uint32_t x) {
   return root;
 }
 
-void DenseOps::UfUnion(uint32_t x, uint32_t y) {
+bool DenseOps::UfUnion(uint32_t x, uint32_t y) {
   uint32_t rx = UfFind(x);
   uint32_t ry = UfFind(y);
-  if (rx == ry) return;
+  if (rx == ry) return false;
   if (urank_[rx] < urank_[ry]) std::swap(rx, ry);
   parent_[ry] = rx;
   if (urank_[rx] == urank_[ry]) ++urank_[rx];
+  return true;
 }
 
 void DenseOps::FirstsReset(std::size_t num_blocks) {
@@ -157,6 +158,18 @@ void DenseOps::FirstsReset(std::size_t num_blocks) {
   if (++fgen_ == 0) {
     std::fill(first_gen_.begin(), first_gen_.end(), 0);
     fgen_ = 1;
+  }
+}
+
+void DenseOps::RelabelReset(std::size_t n) {
+  if (relabel_.size() < n) {
+    relabel_.resize(n);
+    relabel_gen_.assign(n, 0);
+    rgen_ = 0;
+  }
+  if (++rgen_ == 0) {
+    std::fill(relabel_gen_.begin(), relabel_gen_.end(), 0);
+    rgen_ = 1;
   }
 }
 
@@ -189,43 +202,39 @@ void DenseOps::Sum(const DensePartition& a, const DensePartition& b,
                    DensePartition* out) {
   const std::size_t n = a.labels.size();
   assert(b.labels.size() == n && "operands must share a universe");
-  UfReset(n);
-  // Chain every element to the first element of its block, per operand
-  // (the Section 3.1 chain condition: two elements are summed together
-  // iff connected through overlapping blocks).
-  for (const DensePartition* p : {&a, &b}) {
-    FirstsReset(p->num_blocks);
-    const auto& labels = p->labels;
-    for (std::size_t i = 0; i < n; ++i) {
-      uint32_t l = labels[i];
-      if (l == DensePartition::kAbsent) continue;
-      if (first_gen_[l] != fgen_) {
-        first_gen_[l] = fgen_;
-        first_idx_[l] = static_cast<uint32_t>(i);
-      } else {
-        UfUnion(first_idx_[l], static_cast<uint32_t>(i));
-      }
+  // Section 3.1's chain condition at block granularity: node la is a's
+  // block la, node na + lb is b's block lb, and an element present in
+  // both operands joins its two blocks. Every label names a nonempty
+  // block, so the components are exactly the blocks of a + b; once one
+  // is left, no later element can change the answer.
+  const uint32_t na = a.num_blocks;
+  const std::size_t nodes = std::size_t{na} + b.num_blocks;
+  UfReset(nodes);
+  std::size_t components = nodes;
+  for (std::size_t i = 0; i < n && components > 1; ++i) {
+    uint32_t la = a.labels[i];
+    uint32_t lb = b.labels[i];
+    if (la == DensePartition::kAbsent || lb == DensePartition::kAbsent) {
+      continue;
     }
+    if (UfUnion(la, na + lb)) --components;
   }
   // Canonical relabel by first occurrence over the union population.
   out->labels.assign(n, DensePartition::kAbsent);
-  if (relabel_.size() < n) {
-    relabel_.resize(n);
-    relabel_gen_.assign(n, 0);
-    rgen_ = 0;
-  }
-  if (++rgen_ == 0) {
-    std::fill(relabel_gen_.begin(), relabel_gen_.end(), 0);
-    rgen_ = 1;
-  }
+  RelabelReset(nodes);
   uint32_t next = 0;
   uint32_t present = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (a.labels[i] == DensePartition::kAbsent &&
-        b.labels[i] == DensePartition::kAbsent) {
+    uint32_t la = a.labels[i];
+    uint32_t node;
+    if (la != DensePartition::kAbsent) {
+      node = la;
+    } else if (b.labels[i] != DensePartition::kAbsent) {
+      node = na + b.labels[i];
+    } else {
       continue;
     }
-    uint32_t root = UfFind(static_cast<uint32_t>(i));
+    uint32_t root = UfFind(node);
     if (relabel_gen_[root] != rgen_) {
       relabel_gen_[root] = rgen_;
       relabel_[root] = next++;
@@ -368,6 +377,31 @@ void DenseOps::StrippedProduct(const StrippedPartition& x,
   }
 }
 
+bool DenseOps::StrippedProductRefines(const StrippedPartition& x,
+                                      const DensePartition& col,
+                                      const DensePartition& y) {
+  assert(col.present == col.labels.size() &&
+         "StrippedProductRefines requires a fully-present refining column");
+  // Per cluster of x: col label -> y label of its first element. A second
+  // element in the same (cluster, col) block must carry that same,
+  // present, y label.
+  for (std::size_t c = 0; c + 1 < x.offsets.size(); ++c) {
+    FirstsReset(col.num_blocks);
+    for (uint32_t k = x.offsets[c]; k < x.offsets[c + 1]; ++k) {
+      uint32_t i = x.flat[k];
+      uint32_t v = col.labels[i];
+      uint32_t ly = y.labels[i];
+      if (first_gen_[v] != fgen_) {
+        first_gen_[v] = fgen_;
+        first_idx_[v] = ly;
+      } else if (first_idx_[v] != ly || ly == DensePartition::kAbsent) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 bool DenseOps::StrippedRefines(const StrippedPartition& x,
                                const DensePartition& y) {
   for (std::size_t c = 0; c + 1 < x.offsets.size(); ++c) {
@@ -393,20 +427,19 @@ void DenseOps::Unstrip(const StrippedPartition& x, std::size_t n,
   }
   // Canonical renumber: clusters get a label at their first element;
   // singletons get fresh labels.
-  if (relabel_.size() < x.num_clusters()) relabel_.resize(x.num_clusters());
-  std::vector<bool> seen(x.num_clusters(), false);
+  RelabelReset(x.num_clusters());
   uint32_t next = 0;
   for (std::size_t i = 0; i < n; ++i) {
     uint32_t c = out->labels[i];
     if (c == DensePartition::kAbsent) {
       out->labels[i] = next++;  // singleton block
-    } else if (!seen[c]) {
-      seen[c] = true;
-      relabel_[c] = next++;
-      out->labels[i] = relabel_[c];
-    } else {
-      out->labels[i] = relabel_[c];
+      continue;
     }
+    if (relabel_gen_[c] != rgen_) {
+      relabel_gen_[c] = rgen_;
+      relabel_[c] = next++;
+    }
+    out->labels[i] = relabel_[c];
   }
   out->num_blocks = next;
   out->present = static_cast<uint32_t>(n);

@@ -17,11 +17,14 @@
 //  * DenseOps implements product via single-pass pair-encoding into a
 //    generation-stamped open-addressing table (no std::map/unordered_map
 //    in the loop, no allocation in the steady state), and sum via
-//    union-find over dense indices with reusable scratch buffers;
+//    union-find over the operands' block labels (not their elements)
+//    with reusable scratch buffers;
 //  * a StrippedPartition elides singleton blocks (the PLI/"stripped
 //    partition" representation), which makes refinement checks — the
 //    inner loop of FD discovery — O(clustered elements) instead of
-//    O(population).
+//    O(population). StrippedProductRefines answers "does x * col refine
+//    y?" without building x * col, so discovery materializes only the
+//    partitions a later step reuses.
 //
 // Canonical-form contract: every kernel numbers result labels by first
 // occurrence in dense-index order, which coincides with the sparse API's
@@ -155,8 +158,10 @@ class DenseOps {
                DensePartition* out);
 
   /// out = a + b (finest common generalization; population union).
-  /// Union-find over dense indices, chaining each element to its block's
-  /// first element in either operand. Requires a.size() == b.size().
+  /// Union-find over the na + nb block labels: an element present in both
+  /// operands joins its a-block to its b-block, and the scan stops once
+  /// one component is left. O(n + na + nb), no per-element union-find
+  /// state. Requires a.size() == b.size().
   void Sum(const DensePartition& a, const DensePartition& b,
            DensePartition* out);
 
@@ -213,6 +218,16 @@ class DenseOps {
   /// that's the whole point of stripping. O(clustered(x)).
   bool StrippedRefines(const StrippedPartition& x, const DensePartition& y);
 
+  /// True iff the (unstripped) partition x * col refines `y`, decided
+  /// without building x * col: within each cluster of `x`, every `col`
+  /// label must map to a single `y` label, and an element sharing its
+  /// (cluster, col) block with another must be present in `y`. Equals
+  /// StrippedRefines(StrippedProduct(x, col), y); allocates nothing.
+  /// O(clustered(x)). Precondition as for StrippedProduct.
+  bool StrippedProductRefines(const StrippedPartition& x,
+                              const DensePartition& col,
+                              const DensePartition& y);
+
   /// Reconstructs the dense form of a stripped partition over a universe
   /// of `n` fully-present elements (canonical labels). For tests and for
   /// consumers that need the unstripped result back.
@@ -225,13 +240,18 @@ class DenseOps {
   void TableReset(std::size_t max_entries);
   uint32_t TableIntern(uint64_t key, uint32_t* next);
 
-  // Union-find scratch over [0, n) with trivial reset.
+  // Union-find scratch over [0, n) with trivial reset. UfUnion returns
+  // whether x and y were in different sets.
   void UfReset(std::size_t n);
   uint32_t UfFind(uint32_t x);
-  void UfUnion(uint32_t x, uint32_t y);
+  bool UfUnion(uint32_t x, uint32_t y);
 
   // Generation-stamped per-block "first index seen" map.
   void FirstsReset(std::size_t num_blocks);
+
+  // Generation-stamped relabel map over [0, n): relabel_ and
+  // relabel_gen_ always grow together, whichever kernel uses them.
+  void RelabelReset(std::size_t n);
 
   std::vector<uint64_t> tkey_;
   std::vector<uint32_t> tval_;

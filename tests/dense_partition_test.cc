@@ -1,7 +1,7 @@
 // Differential property tests for the dense partition kernels
 // (partition/dense.h) against the sparse reference API: Densify/Sparsify
 // roundtrips, Product, Sum, Refines, GroupByValues, RefineBy, and the
-// stripped (PLI) kernels, over random populations plus the adversarial
+// stripped (PLI) kernels including the fused StrippedProductRefines, over random populations plus the adversarial
 // shapes — empty, singleton, disjoint populations, and many small blocks.
 // The canonical-form contract means every comparison is exact equality.
 
@@ -134,6 +134,24 @@ TEST(DenseOpsTest, ProductAndSumAdversarialShapes) {
     shifted[i] = static_cast<uint32_t>((i + 1) / 2 % (big.size() / 2));
   }
   check(Partition::FromLabels(big, pairs), Partition::FromLabels(big, shifted));
+  // One component forms before the scan ends (the block-level sum stops
+  // at element 2), followed by elements present in only one operand.
+  Partition early_a = Partition::FromBlocks({{0, 1}, {2, 3}});
+  Partition early_b = Partition::FromBlocks({{0, 2, 5, 6}, {1, 7, 9}});
+  check(early_a, early_b);
+  check(early_b, early_a);
+  // ...and one that closes early but leaves b-only blocks outside it.
+  check(early_a, Partition::FromBlocks({{0, 2}, {1, 8}, {5, 6}, {7}}));
+  // Sums that reach the one-block top: on the last pair (parity + pairs)
+  // and mid-scan against a partial operand (halves + {0,300}{1,2}).
+  std::vector<uint32_t> halves(big.size()), parity(big.size());
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    halves[i] = i < big.size() / 2 ? 0 : 1;
+    parity[i] = static_cast<uint32_t>(i % 2);
+  }
+  check(Partition::FromLabels(big, parity), Partition::FromLabels(big, pairs));
+  check(Partition::FromLabels(big, halves),
+        Partition::FromBlocks({{0, 300}, {1, 2}}));
 }
 
 TEST(DenseOpsTest, RefinesMatchesSparseReference) {
@@ -252,6 +270,47 @@ TEST(DenseOpsTest, StrippedProductAndRefinesMatchDense) {
   }
 }
 
+TEST(DenseOpsTest, StrippedProductRefinesMatchesBuiltProduct) {
+  // The fused check against the two-step reference, with y drawn both as
+  // a coarsening of x * col (mostly true) and at random (mostly false),
+  // and with absent entries in y.
+  Rng rng(0xf05ed);
+  DenseOps ops;
+  StrippedPartition sx, sprod;
+  DensePartition prod;
+  int trues = 0, falses = 0;
+  for (int it = 0; it < 600; ++it) {
+    std::size_t n = 1 + rng.Below(80);
+    PartitionUniverse u = PartitionUniverse::Dense(n);
+    std::vector<Elem> pop(n);
+    std::iota(pop.begin(), pop.end(), 0);
+    DensePartition x = u.Densify(RandomPartition(&rng, pop, 1 + rng.Below(6)));
+    DensePartition col =
+        u.Densify(RandomPartition(&rng, pop, 1 + rng.Below(n)));
+    ops.Product(x, col, &prod);
+    std::vector<uint32_t> merge(prod.num_blocks);
+    const std::size_t y_blocks = 1 + rng.Below(prod.num_blocks);
+    for (auto& m : merge) m = static_cast<uint32_t>(rng.Below(y_blocks));
+    std::vector<Elem> ypop;
+    std::vector<uint32_t> ylabels;
+    const bool coarsen = rng.Chance(2, 3);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.Chance(1, 12)) continue;  // absent in y
+      ypop.push_back(static_cast<Elem>(i));
+      ylabels.push_back(coarsen ? merge[prod.labels[i]]
+                                : static_cast<uint32_t>(rng.Below(4)));
+    }
+    DensePartition y = u.Densify(Partition::FromLabels(ypop, ylabels));
+    ops.Strip(x, &sx);
+    ops.StrippedProduct(sx, col, &sprod);
+    bool want = ops.StrippedRefines(sprod, y);
+    EXPECT_EQ(ops.StrippedProductRefines(sx, col, y), want) << "n=" << n;
+    (want ? trues : falses)++;
+  }
+  EXPECT_GE(trues, 100);
+  EXPECT_GE(falses, 100);
+}
+
 TEST(DenseOpsTest, ScratchReuseIsClean) {
   // Back-to-back calls of wildly different sizes through one DenseOps must
   // not leak state between calls (generation-stamped scratch).
@@ -271,6 +330,46 @@ TEST(DenseOpsTest, ScratchReuseIsClean) {
   EXPECT_EQ(out, d2);
   ops.Sum(d2, d2, &out);
   EXPECT_EQ(out, d2);
+
+  // Unstrip -> Sum: Unstrip's relabel scratch (600 clusters) must not
+  // leave Sum's out of step on a much smaller universe.
+  std::vector<Elem> wide(1200);
+  std::iota(wide.begin(), wide.end(), 0);
+  std::vector<uint32_t> pairs(wide.size());
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    pairs[i] = static_cast<uint32_t>(i / 2);
+  }
+  PartitionUniverse uw = PartitionUniverse::Dense(wide.size());
+  DensePartition dpairs = uw.Densify(Partition::FromLabels(wide, pairs));
+  StrippedPartition sp;
+  ops.Strip(dpairs, &sp);
+  ASSERT_EQ(sp.num_clusters(), 600u);
+  ops.Unstrip(sp, wide.size(), &out);
+  EXPECT_EQ(out, dpairs);
+  PartitionUniverse u5 = PartitionUniverse::Dense(5);
+  Partition p5 = Partition::FromBlocks({{0, 1}, {2}, {3, 4}});
+  Partition q5 = Partition::FromBlocks({{1, 2}, {0}, {3}, {4}});
+  DensePartition d5 = u5.Densify(p5);
+  DensePartition e5 = u5.Densify(q5);
+  ops.Sum(d5, e5, &out);
+  EXPECT_EQ(u5.Sparsify(out), Partition::Sum(p5, q5));
+
+  // StrippedProductRefines -> Refines -> Sum, large then small then
+  // large again.
+  DensePartition discrete = uw.Densify(Partition::Discrete(wide));
+  EXPECT_TRUE(ops.StrippedProductRefines(sp, discrete, discrete));
+  EXPECT_FALSE(ops.StrippedProductRefines(sp, dpairs, discrete));
+  EXPECT_TRUE(ops.Refines(d5, d5));
+  EXPECT_FALSE(ops.Refines(d5, e5));
+  ops.Sum(e5, d5, &out);
+  EXPECT_EQ(u5.Sparsify(out), Partition::Sum(q5, p5));
+  ops.Strip(d5, &sp);
+  EXPECT_TRUE(ops.StrippedProductRefines(sp, d5, d5));
+  EXPECT_FALSE(ops.StrippedProductRefines(sp, d5, e5));
+  ops.Sum(dpairs, discrete, &out);
+  EXPECT_EQ(out, dpairs);
+  ops.Unstrip(sp, 5, &out);
+  EXPECT_EQ(out, d5);
 }
 
 }  // namespace
