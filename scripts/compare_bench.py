@@ -2,8 +2,11 @@
 """Compare two benchmark JSON artifacts and fail on regression.
 
 Matches benchmarks by name between a committed baseline and a fresh run,
-compares cpu_time (normalized to each entry's time_unit), and exits 1 if
-any shared benchmark regressed by more than the threshold (default 25%).
+compares one time column (normalized to each entry's time_unit), and
+exits 1 if any shared benchmark regressed by more than the threshold
+(default 25%). The column is real_time for rows whose name ends in
+"/real_time" (the benchmark called UseRealTime(), so wall time is what
+it measures) and cpu_time for every other row.
 Benchmarks present on only one side are reported but never fatal, so
 adding or retiring benchmarks does not break CI.
 
@@ -18,6 +21,10 @@ import sys
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
+def gated_column(name: str) -> str:
+    return "real_time" if name.endswith("/real_time") else "cpu_time"
+
+
 def load_times(path: str) -> dict:
     with open(path) as f:
         doc = json.load(f)
@@ -30,9 +37,10 @@ def load_times(path: str) -> dict:
         name = b["name"]
         if name.endswith("_BigO") or name.endswith("_RMS"):
             continue
-        if "cpu_time" not in b:
+        column = gated_column(name)
+        if column not in b:
             continue
-        times[name] = b["cpu_time"] * _UNIT_NS.get(b.get("time_unit", "ns"), 1.0)
+        times[name] = b[column] * _UNIT_NS.get(b.get("time_unit", "ns"), 1.0)
     return times
 
 
@@ -64,7 +72,7 @@ def main() -> int:
             marker = "  <-- REGRESSION"
             regressions.append((name, ratio))
         print(f"{name:60s} {base[name]:14.1f} -> {cur[name]:14.1f} ns "
-              f"({ratio:5.2f}x){marker}")
+              f"{gated_column(name):9s} ({ratio:5.2f}x){marker}")
     for name in only_base:
         print(f"{name:60s} only in baseline (retired?)")
     for name in only_cur:

@@ -19,10 +19,6 @@ double SecondsSince(SteadyClock::time_point start) {
   return std::chrono::duration<double>(SteadyClock::now() - start).count();
 }
 
-uint64_t PairKey(ExprId e1, ExprId e2) {
-  return (static_cast<uint64_t>(e1) << 32) | e2;
-}
-
 // How often the governed sweeps poll the deadline/cancel state: every
 // (kCheckStride) rows or delta consumptions. Budget comparisons against
 // the running arc counter ride along with the same stride.
@@ -602,15 +598,13 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
   return Status::OK();
 }
 
+// The ungoverned overloads forward to their governed twins. Unbounded +
+// no armed fail point cannot trip; if a test armed a closure fail point
+// and then called an ungoverned path, surface it loudly rather than
+// silently serving a stale closure.
 void PdImplicationEngine::Prepare(const std::vector<ExprId>& exprs) {
-  for (ExprId e : exprs) AddVertex(e);
-  if (!closure_valid_) {
-    Status st = ComputeClosure(ExecContext::Unbounded());
-    // Unbounded + no armed fail point cannot trip; if a test armed a
-    // closure fail point and then called the ungoverned path, surface it
-    // loudly rather than silently serving a stale closure.
-    PSEM_CHECK(st.ok(), "ungoverned closure failed: " + st.ToString());
-  }
+  Status st = Prepare(exprs, ExecContext::Unbounded());
+  PSEM_CHECK(st.ok(), "ungoverned closure failed: " + st.ToString());
 }
 
 Status PdImplicationEngine::Prepare(const std::vector<ExprId>& exprs,
@@ -634,10 +628,6 @@ void PdImplicationEngine::AddConstraint(const Pd& pd) {
   AddVertex(pd.rhs);
   constraints_.push_back(pd);
   closure_valid_ = false;
-  // Cached verdicts were proved under the smaller E; a larger E can only
-  // add implications, but "not implied" answers may flip, so drop all.
-  lru_.clear();
-  cache_.clear();
 }
 
 Result<bool> PdImplicationEngine::AdmitConstraint(
@@ -725,159 +715,80 @@ bool PdImplicationEngine::LeqInClosure(ExprId e1, ExprId e2) const {
   return up_[i->second].Test(j->second);
 }
 
-bool PdImplicationEngine::CacheLookup(ExprId e1, ExprId e2, bool* verdict) {
-  if (options_.cache_capacity == 0) return false;
-  ++stats_.cache_lookups;
-  auto it = cache_.find(PairKey(e1, e2));
-  if (it == cache_.end()) return false;
-  ++stats_.cache_hits;
-  lru_.splice(lru_.begin(), lru_, it->second);  // mark most-recently used
-  *verdict = it->second->second;
-  return true;
-}
-
-void PdImplicationEngine::CacheInsert(ExprId e1, ExprId e2, bool verdict) {
-  if (options_.cache_capacity == 0) return;
-  uint64_t key = PairKey(e1, e2);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    it->second->second = verdict;
-    return;
-  }
-  if (lru_.size() >= options_.cache_capacity) {
-    cache_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
-  lru_.emplace_front(key, verdict);
-  cache_.emplace(key, lru_.begin());
-}
-
-bool PdImplicationEngine::LeqWithCache(ExprId e1, ExprId e2) {
-  bool verdict;
-  if (CacheLookup(e1, e2, &verdict)) return verdict;
-  verdict = LeqInClosure(e1, e2);
-  CacheInsert(e1, e2, verdict);
-  return verdict;
+std::optional<bool> PdImplicationEngine::Probe(const Pd& query) const {
+  if (!closure_valid_) return std::nullopt;
+  auto i = vertex_of_.find(query.lhs);
+  auto j = vertex_of_.find(query.rhs);
+  if (i == vertex_of_.end() || j == vertex_of_.end()) return std::nullopt;
+  if (!up_[i->second].Test(j->second)) return false;
+  return !query.is_equation || up_[j->second].Test(i->second);
 }
 
 bool PdImplicationEngine::ImpliesLeq(ExprId e1, ExprId e2) {
-  bool verdict;
-  if (CacheLookup(e1, e2, &verdict)) return verdict;
-  Prepare({e1, e2});
-  return LeqWithCache(e1, e2);
+  Result<bool> verdict = ImpliesLeq(e1, e2, ExecContext::Unbounded());
+  PSEM_CHECK(verdict.ok(), "ungoverned query failed: " +
+                               verdict.status().ToString());
+  return *verdict;
 }
 
 Result<bool> PdImplicationEngine::ImpliesLeq(ExprId e1, ExprId e2,
                                              const ExecContext& ctx) {
-  bool verdict;
-  if (CacheLookup(e1, e2, &verdict)) return verdict;
-  PSEM_RETURN_IF_ERROR(Prepare({e1, e2}, ctx));
-  return LeqWithCache(e1, e2);
+  return Implies(Pd::Leq(e1, e2), ctx);
 }
 
 bool PdImplicationEngine::Implies(const Pd& query) {
-  // Cache fast path. Cached verdicts are V-independent (Lemma 9.2), so a
-  // hit avoids extending V and re-closing even for never-seen queries.
-  bool fwd;
-  if (CacheLookup(query.lhs, query.rhs, &fwd)) {
-    if (!fwd) return false;
-    if (!query.is_equation) return true;
-    bool bwd;
-    if (CacheLookup(query.rhs, query.lhs, &bwd)) return bwd;
-  }
-  Prepare({query.lhs, query.rhs});
-  bool f = LeqWithCache(query.lhs, query.rhs);
-  if (!query.is_equation) return f;
-  return f && LeqWithCache(query.rhs, query.lhs);
+  Result<bool> verdict = Implies(query, ExecContext::Unbounded());
+  PSEM_CHECK(verdict.ok(), "ungoverned query failed: " +
+                               verdict.status().ToString());
+  return *verdict;
 }
 
 Result<bool> PdImplicationEngine::Implies(const Pd& query,
                                           const ExecContext& ctx) {
-  bool fwd;
-  if (CacheLookup(query.lhs, query.rhs, &fwd)) {
-    if (!fwd) return false;
-    if (!query.is_equation) return true;
-    bool bwd;
-    if (CacheLookup(query.rhs, query.lhs, &bwd)) return bwd;
-  }
+  // Verdicts are V-independent (Lemma 9.2): a closed closure answers any
+  // query over V without extending V, re-closing or polling ctx.
+  if (std::optional<bool> verdict = Probe(query)) return *verdict;
   PSEM_RETURN_IF_ERROR(Prepare({query.lhs, query.rhs}, ctx));
-  bool f = LeqWithCache(query.lhs, query.rhs);
-  if (!query.is_equation) return f;
-  return f && LeqWithCache(query.rhs, query.lhs);
+  return *Probe(query);
 }
 
 std::vector<bool> PdImplicationEngine::BatchImplies(
     std::span<const Pd> queries) {
-  std::vector<bool> out(queries.size(), false);
-  // Pass 1: answer what the cache can; register the vertices of every
-  // remaining query so the closure below is computed exactly once for
-  // the whole batch.
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Pd& q = queries[i];
-    bool fwd;
-    if (CacheLookup(q.lhs, q.rhs, &fwd)) {
-      if (!fwd) continue;  // out[i] stays false
-      if (!q.is_equation) {
-        out[i] = true;
-        continue;
-      }
-      bool bwd;
-      if (CacheLookup(q.rhs, q.lhs, &bwd)) {
-        out[i] = bwd;
-        continue;
-      }
-    }
-    AddVertex(q.lhs);
-    AddVertex(q.rhs);
-    pending.push_back(i);
-  }
-  // Pass 2: one shared (incremental) closure, then O(1) bit tests.
-  // Duplicate queries in the batch resolve through the cache.
-  if (!pending.empty()) {
-    if (!closure_valid_) {
-      Status st = ComputeClosure(ExecContext::Unbounded());
-      PSEM_CHECK(st.ok(), "ungoverned closure failed: " + st.ToString());
-    }
-    for (std::size_t i : pending) {
-      const Pd& q = queries[i];
-      bool f = LeqWithCache(q.lhs, q.rhs);
-      out[i] = q.is_equation ? (f && LeqWithCache(q.rhs, q.lhs)) : f;
-    }
+  std::vector<Result<bool>> verdicts =
+      BatchImplies(queries, ExecContext::Unbounded());
+  std::vector<bool> out;
+  out.reserve(verdicts.size());
+  for (const Result<bool>& verdict : verdicts) {
+    PSEM_CHECK(verdict.ok(), "ungoverned query failed: " +
+                                 verdict.status().ToString());
+    out.push_back(*verdict);
   }
   return out;
 }
 
 std::vector<Result<bool>> PdImplicationEngine::BatchImplies(
     std::span<const Pd> queries, const ExecContext& ctx) {
-  // Failures are per-query: each query is pre-checked against the vertex
-  // budget BEFORE its subexpressions are interned, so one oversized query
-  // gets its own error and leaves the rest of the batch (and the engine)
-  // untouched. Result<bool> has no default constructor, so the slots are
-  // staged in optionals and unwrapped at the end.
+  // Result<bool> has no default constructor, so the slots are staged in
+  // optionals and unwrapped at the end.
   std::vector<std::optional<Result<bool>>> slots(queries.size());
+  // Pass 1: probe every query while the closure is still closed; the
+  // first interning below would reopen it.
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Pd& q = queries[i];
-    bool fwd;
-    if (CacheLookup(q.lhs, q.rhs, &fwd)) {
-      if (!fwd) {
-        slots[i] = Result<bool>(false);
-        continue;
-      }
-      if (!q.is_equation) {
-        slots[i] = Result<bool>(true);
-        continue;
-      }
-      bool bwd;
-      if (CacheLookup(q.rhs, q.lhs, &bwd)) {
-        slots[i] = Result<bool>(bwd);
-        continue;
-      }
+    if (std::optional<bool> verdict = Probe(queries[i])) {
+      slots[i] = Result<bool>(*verdict);
+    } else {
+      pending.push_back(i);
     }
-    // An accepted query is interned at once, so the next query's budget
-    // check already counts its vertices as part of V.
+  }
+  // Pass 2: failures are per-query. Each remaining query is pre-checked
+  // against the vertex budget BEFORE its subexpressions are interned, so
+  // one oversized query gets its own error and leaves the rest of the
+  // batch (and the engine) untouched. An accepted query is interned at
+  // once, so the next query's budget check already counts its vertices.
+  std::vector<std::size_t> interned;
+  for (std::size_t i : pending) {
+    const Pd& q = queries[i];
     Status st = CheckVertexBudget(std::array{q.lhs, q.rhs}, ctx);
     if (!st.ok()) {
       slots[i] = Result<bool>(st);
@@ -885,21 +796,15 @@ std::vector<Result<bool>> PdImplicationEngine::BatchImplies(
     }
     AddVertex(q.lhs);
     AddVertex(q.rhs);
-    pending.push_back(i);
+    interned.push_back(i);
   }
-  if (!pending.empty()) {
+  // Pass 3: one shared (incremental) closure, then bit tests. A closure
+  // failure is reported by the closure-dependent remainder only; the
+  // verdicts of pass 1 are kept.
+  if (!interned.empty()) {
     Status st = closure_valid_ ? Status::OK() : ComputeClosure(ctx);
-    for (std::size_t i : pending) {
-      if (!st.ok()) {
-        // Shared-closure failure: only the closure-dependent remainder
-        // report it; cache-resolved verdicts above are kept.
-        slots[i] = Result<bool>(st);
-        continue;
-      }
-      const Pd& q = queries[i];
-      bool f = LeqWithCache(q.lhs, q.rhs);
-      slots[i] =
-          Result<bool>(q.is_equation ? (f && LeqWithCache(q.rhs, q.lhs)) : f);
+    for (std::size_t i : interned) {
+      slots[i] = st.ok() ? Result<bool>(*Probe(queries[i])) : Result<bool>(st);
     }
   }
   std::vector<Result<bool>> out;

@@ -34,14 +34,19 @@
 //    composite catch-up arcs), and re-closes from the previous closure as
 //    a warm start instead of restarting from the seed arcs.
 //
-//  * Batched queries. BatchImplies answers a whole query span against one
-//    shared closure, and an LRU cache keyed on interned (ExprId, ExprId)
-//    pairs memoizes verdicts across calls; by the same V-independence the
-//    cache never needs invalidation for a fixed E.
+//  * The closure is the verdict store. By the same V-independence, a
+//    closed up_ row already holds every verdict E gives over V, so a query
+//    whose two sides are in V is answered by bit tests alone — no closure,
+//    no context poll — and needs no invalidation for a fixed E. Only the
+//    rest reach Prepare. BatchImplies probes the whole span first, then
+//    interns the remainder and closes once for all of it.
 //
 // ProvenanceEngine (core/proof.h) applies the seven rules literally, arc
 // by arc; it is both the explanation engine and the slow reference the
 // differential tests check this engine against.
+//
+// Each ungoverned entry point (Implies, ImpliesLeq, BatchImplies, Prepare)
+// forwards to its governed twin under ExecContext::Unbounded().
 //
 // Thread-compatibility: const methods (LeqInClosure, stats, ...) are safe
 // to call concurrently once Prepare has returned; the mutating entry
@@ -51,7 +56,7 @@
 #define PSEM_CORE_IMPLICATION_H_
 
 #include <cstdint>
-#include <list>
+#include <optional>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -65,7 +70,7 @@
 
 namespace psem {
 
-/// Counters from the engine's closure computations and query cache.
+/// Counters from the engine's closure computations.
 struct AlgStats {
   std::size_t num_vertices = 0;  ///< |V|: distinct subexpressions.
   std::size_t num_arcs = 0;      ///< arcs in the final Gamma.
@@ -89,27 +94,20 @@ struct AlgStats {
   std::size_t cold_closures = 0;         ///< closures computed from seed.
   std::size_t incremental_closures = 0;  ///< closures warm-started.
 
-  std::size_t cache_lookups = 0;  ///< LRU probes.
-  std::size_t cache_hits = 0;     ///< LRU probes answered.
+  /// Always 0: the engine keeps no verdict cache (the closed closure
+  /// answers every query over V). Kept only because perfbench still reads
+  /// them; they go when perfbench's counters move to one metrics surface.
+  std::size_t cache_lookups = 0;
+  std::size_t cache_hits = 0;
 
   /// Closures stopped early by a deadline, cancellation, budget, or
   /// injected fault. The partial arc matrix is kept as a sound warm
   /// start; the counters above reflect the partial progress.
   std::size_t aborted_closures = 0;
-
-  double CacheHitRate() const {
-    return cache_lookups == 0
-               ? 0.0
-               : static_cast<double>(cache_hits) /
-                     static_cast<double>(cache_lookups);
-  }
 };
 
 /// Tuning knobs for PdImplicationEngine.
 struct EngineOptions {
-  /// Capacity of the LRU query cache ((ExprId, ExprId) -> bool).
-  /// 0 disables caching.
-  std::size_t cache_capacity = 1024;
   /// Sparse->dense switch: a delta round runs the blocked
   /// dense kernel when at least `dense_min_rows` rows are dirty AND the
   /// pending frontier averages at least |V|/`dense_inv_density` arcs per
@@ -133,29 +131,30 @@ class PdImplicationEngine {
   bool Implies(const Pd& query);
 
   /// Governed variant: observes ctx's deadline, cancellation token, and
-  /// arc/vertex budgets. On a trip it returns kResourceExhausted or
-  /// kCancelled, keeps partial progress in stats(), and leaves the engine
-  /// fully usable — re-asking with a fresh context resumes from the
-  /// partial closure (a sound warm start) and yields the same verdict a
-  /// cold engine would.
+  /// arc/vertex budgets. A query whose sides are both in V is answered
+  /// from a closed closure without polling ctx. Otherwise, on a trip it
+  /// returns kResourceExhausted or kCancelled, keeps partial progress in
+  /// stats(), and leaves the engine fully usable — re-asking with a fresh
+  /// context resumes from the partial closure (a sound warm start) and
+  /// yields the same verdict a cold engine would.
   Result<bool> Implies(const Pd& query, const ExecContext& ctx);
 
   /// E |= e <= e'.
   bool ImpliesLeq(ExprId e1, ExprId e2);
   Result<bool> ImpliesLeq(ExprId e1, ExprId e2, const ExecContext& ctx);
 
-  /// Answers every query in `queries` against one shared closure: new
-  /// subexpressions across the whole batch are added to V first, the
-  /// closure is (re)computed once, and duplicate queries are answered
-  /// from the cache. out[i] corresponds to queries[i].
+  /// Answers every query in `queries` against one shared closure: the
+  /// queries a closed closure already answers are probed first, then the
+  /// new subexpressions of the rest are added to V and the closure is
+  /// (re)computed once. out[i] corresponds to queries[i].
   std::vector<bool> BatchImplies(std::span<const Pd> queries);
 
   /// Governed batch. Failures are per-query, not collective: a query
   /// whose subexpressions would blow the vertex budget gets its own
   /// kResourceExhausted while the rest of the batch is still answered;
-  /// if the one shared closure trips mid-computation, the queries already
-  /// resolved from the cache keep their verdicts and only the closure-
-  /// dependent remainder report the error.
+  /// if the one shared closure trips mid-computation, the queries the
+  /// closed closure answered up front keep their verdicts and only the
+  /// closure-dependent remainder report the error.
   std::vector<Result<bool>> BatchImplies(std::span<const Pd> queries,
                                          const ExecContext& ctx);
 
@@ -169,10 +168,10 @@ class PdImplicationEngine {
   /// RestoreEngineState call it too). Sound as a warm start: every arc of
   /// the old closure is a consequence of the old E, hence of the larger E
   /// (arc rules are monotone in E). The new constraint's arcs are planted
-  /// at the next closure; the LRU query cache is dropped, because cached
-  /// verdicts are V-independent only for a FIXED E — a larger E can flip
-  /// "not implied" to "implied". Idempotent: re-adding a constraint
-  /// already in E is a no-op.
+  /// at the next closure, and until then no query is answered from the
+  /// old closure: its verdicts hold only for the smaller E, and a larger E
+  /// can flip "not implied" to "implied". Idempotent: re-adding a
+  /// constraint already in E is a no-op.
   void AddConstraint(const Pd& pd);
   /// True iff `pd` is already in E (structural equality of interned ids):
   /// one probe of the hashed constraint index.
@@ -263,14 +262,9 @@ class PdImplicationEngine {
   // unconsumed in delta_up_, and bumps the exact arc counter.
   void TrySetArc(uint32_t i, uint32_t m);
 
-  // LRU query cache over packed (e1, e2) keys. Verdicts stay valid across
-  // closure growth (Lemma 9.2 makes them V-independent), so entries are
-  // only evicted, never invalidated.
-  bool CacheLookup(ExprId e1, ExprId e2, bool* verdict);
-  void CacheInsert(ExprId e1, ExprId e2, bool verdict);
-  // LeqInClosure with cache fill; requires a current closure covering
-  // both vertices.
-  bool LeqWithCache(ExprId e1, ExprId e2);
+  // The one place a query verdict is read: the bit tests of `query` when
+  // the closure is closed and both sides are in V, nullopt otherwise.
+  std::optional<bool> Probe(const Pd& query) const;
 
   struct PdHash {
     std::size_t operator()(const Pd& pd) const {
@@ -332,10 +326,6 @@ class PdImplicationEngine {
   // 0 means no closure has ever been started.
   std::size_t seeded_vertices_ = 0;
   AlgStats stats_;
-
-  std::list<std::pair<uint64_t, bool>> lru_;  // front = most recent
-  std::unordered_map<uint64_t, std::list<std::pair<uint64_t, bool>>::iterator>
-      cache_;
 };
 
 }  // namespace psem

@@ -59,9 +59,10 @@ class PdTheory {
   /// (Theorem 9).
   bool Implies(const Pd& query);
 
-  /// Answers a whole batch of queries against one shared closure (new
-  /// subexpressions are added once, duplicates resolve via the engine's
-  /// LRU cache). out[i] corresponds to queries[i].
+  /// Answers a whole batch of queries against one shared closure: the
+  /// queries the closed closure already answers are probed first, then
+  /// the rest's new subexpressions are added once and the closure is
+  /// recomputed once. out[i] corresponds to queries[i].
   std::vector<bool> BatchImplies(std::span<const Pd> queries);
 
   /// Parses every query, then calls BatchImplies.

@@ -9,7 +9,7 @@ namespace psem {
 
 void EvalContext::Flush() {
   memo_.clear();
-  lru_.clear();
+  recency_.clear();
   atomic_dense_.clear();
 }
 
@@ -58,7 +58,7 @@ Result<EvalContext::DenseRef> EvalContext::AtomicDense(
 EvalContext::DenseRef EvalContext::Lookup(ExprId e) {
   auto it = memo_.find(e);
   if (it == memo_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru);
+  recency_.splice(recency_.begin(), recency_, it->second.lru);
   ++stats_.memo_hits;
   return it->second.value;
 }
@@ -67,17 +67,17 @@ void EvalContext::Insert(ExprId e, DenseRef value) {
   ++stats_.memo_misses;
   auto it = memo_.find(e);
   if (it != memo_.end()) {  // possible after a concurrent-epoch re-entry
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
+    recency_.splice(recency_.begin(), recency_, it->second.lru);
     it->second.value = std::move(value);
     return;
   }
   while (memo_.size() >= capacity_) {
-    memo_.erase(lru_.back());
-    lru_.pop_back();
+    memo_.erase(recency_.back());
+    recency_.pop_back();
     ++stats_.memo_evictions;
   }
-  lru_.push_front(e);
-  memo_.emplace(e, MemoEntry{std::move(value), lru_.begin()});
+  recency_.push_front(e);
+  memo_.emplace(e, MemoEntry{std::move(value), recency_.begin()});
 }
 
 Result<EvalContext::DenseRef> EvalContext::EvalDense(

@@ -68,6 +68,10 @@ class EvalContext {
 
   explicit EvalContext(std::size_t memo_capacity = kDefaultMemoCapacity)
       : capacity_(memo_capacity == 0 ? 1 : memo_capacity) {}
+  // Not copyable: memo_ holds iterators into this object's own recency_
+  // list, which a copy would share with (and outlive) its source.
+  EvalContext(const EvalContext&) = delete;
+  EvalContext& operator=(const EvalContext&) = delete;
 
   /// Meaning of `e` under `interp` (Section 3.1 structural induction),
   /// memoized. Identical results to PartitionInterpretation::EvalSparse.
@@ -130,7 +134,7 @@ class EvalContext {
 
   std::size_t capacity_;
   std::unordered_map<ExprId, MemoEntry> memo_;
-  std::list<ExprId> lru_;  // front = most recent
+  std::list<ExprId> recency_;  // front = most recent
 
   DenseOps ops_;  // kernel scratch
   PartitionEvalStats stats_;

@@ -5,8 +5,8 @@
 //   2. incremental-vs-cold: a query stream answered with warm-started
 //      closures agrees, query by query and arc by arc, with fresh cold
 //      engines;
-//   3. the LRU query cache: hits are served, verdicts are identical with
-//      caching disabled, and stats are populated.
+//   3. batch semantics and repeated queries: a query over V on a closed
+//      closure is answered by bit tests, with no further closure.
 
 #include <gtest/gtest.h>
 
@@ -122,7 +122,7 @@ TEST(IncrementalClosureTest, FinalClosureIdenticalToColdOverSameVertices) {
   }
 }
 
-// --- 3. batch semantics and the LRU cache ---------------------------------------
+// --- 3. batch semantics and repeated queries ------------------------------------
 
 TEST(BatchImpliesTest, MatchesSequentialImpliesAndHandlesDuplicates) {
   Rng rng(9);
@@ -164,26 +164,10 @@ TEST(QueryCacheTest, RepeatedQueriesHitTheCache) {
   std::size_t closures_after_first =
       engine.stats().cold_closures + engine.stats().incremental_closures;
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(engine.Implies(q));
-  EXPECT_GE(engine.stats().cache_hits, 10u);
-  EXPECT_GT(engine.stats().CacheHitRate(), 0.5);
-  // Cache hits answered without touching the closure.
+  // Repeats are answered by the closed closure's bit tests, with no
+  // further closure.
   EXPECT_EQ(engine.stats().cold_closures + engine.stats().incremental_closures,
             closures_after_first);
-}
-
-TEST(QueryCacheTest, DisabledCacheGivesSameVerdicts) {
-  Rng rng(123);
-  ExprArena arena;
-  std::vector<Pd> e = RandomTheory(&arena, &rng, 3, 3, 2);
-  PdImplicationEngine cached(&arena, e);
-  PdImplicationEngine uncached(&arena, e,
-                               EngineOptions{.cache_capacity = 0});
-  for (int q = 0; q < 30; ++q) {
-    Pd query = RandomQuery(&arena, &rng, 3, 3);
-    ASSERT_EQ(cached.Implies(query), uncached.Implies(query))
-        << arena.ToString(query);
-  }
-  EXPECT_EQ(uncached.stats().cache_lookups, 0u);
 }
 
 TEST(QueryCacheTest, EvictionKeepsAnswersCorrect) {
@@ -193,17 +177,16 @@ TEST(QueryCacheTest, EvictionKeepsAnswersCorrect) {
     e.push_back(Pd::Leq(arena.Attr("A" + std::to_string(i)),
                         arena.Attr("A" + std::to_string(i + 1))));
   }
-  // A 4-entry cache under a 144-pair query load: constant eviction.
-  PdImplicationEngine tiny(&arena, e, EngineOptions{.cache_capacity = 4});
-  PdImplicationEngine ref(&arena, e, EngineOptions{.cache_capacity = 0});
+  // The full 12x12 grid, twice: the second round is answered from the
+  // closure the first round left closed.
+  PdImplicationEngine engine(&arena, e);
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < 12; ++i) {
       for (int j = 0; j < 12; ++j) {
         ExprId a = arena.Attr("A" + std::to_string(i));
         ExprId b = arena.Attr("A" + std::to_string(j));
-        ASSERT_EQ(tiny.ImpliesLeq(a, b), ref.ImpliesLeq(a, b))
-            << "A" << i << " <= A" << j;
-        ASSERT_EQ(tiny.ImpliesLeq(a, b), i <= j);
+        ASSERT_EQ(engine.ImpliesLeq(a, b), i <= j)
+            << "round " << round << ": A" << i << " <= A" << j;
       }
     }
   }

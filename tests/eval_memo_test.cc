@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -42,6 +43,11 @@ void DefineAbc(PartitionInterpretation* interp) {
   Define(interp, "B", 6, {0, 1, 0, 1, 0, 1});
   Define(interp, "C", 6, {0, 0, 0, 1, 1, 1});
 }
+
+// The memo holds iterators into the context's own LRU list; a copy would
+// point into its source's list and dangle once the source is gone.
+static_assert(!std::is_copy_constructible_v<EvalContext>);
+static_assert(!std::is_copy_assignable_v<EvalContext>);
 
 TEST(EvalMemoTest, HitMissCountersOnSharedDag) {
   PartitionInterpretation interp;

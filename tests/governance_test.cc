@@ -191,6 +191,32 @@ TEST(GovernanceClosureTest, IncrementalClosureIsGovernedToo) {
   EXPECT_GE(engine.stats().incremental_closures, 1u);
 }
 
+// A closed closure holds every verdict over V (Lemma 9.2), so a query
+// whose two sides are already in V is answered by bit tests, even one
+// never asked before and even under a context that has already expired.
+TEST(GovernanceClosureTest, ClosedClosureAnswersQueriesOverVWithoutPolling) {
+  ExprArena arena;
+  auto pds = ChainTheory(&arena, 10);
+  PdImplicationEngine engine(&arena, pds);
+  engine.Prepare({});  // closes the closure over the constraints' V
+  PdImplicationEngine cold(&arena, pds);
+
+  Pd never_asked = *arena.ParsePd("A0*A1 <= A4");
+  auto r = engine.Implies(never_asked, Expired());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, cold.Implies(never_asked));
+
+  Pd leq = *arena.ParsePd("A3 <= A2");
+  auto l = engine.ImpliesLeq(leq.lhs, leq.rhs, Cancelled());
+  ASSERT_TRUE(l.ok()) << l.status().ToString();
+  EXPECT_EQ(*l, cold.Implies(leq));
+
+  // A side outside V still needs a closure, and the context stops it.
+  auto outside = engine.Implies(*arena.ParsePd("A0*A2 <= A9"), Expired());
+  ASSERT_FALSE(outside.ok());
+  EXPECT_EQ(outside.status().code(), StatusCode::kResourceExhausted);
+}
+
 // --- batch: failures are per-query, not collective --------------------------
 
 TEST(GovernanceBatchTest, VertexBudgetFailsOnlyTheOffendingQuery) {
@@ -226,27 +252,30 @@ TEST(GovernanceBatchTest, DeadlineFailsPendingQueriesKeepsCachedOnes) {
   ExprArena arena;
   auto pds = ChainTheory(&arena, 10);
   Pd q0 = *arena.ParsePd("A0 <= A9");
+  // In V but never asked (A1*A2 is a constraint's subexpression): the
+  // closed closure answers them all the same.
   Pd q1 = *arena.ParsePd("A1*A2 <= A9");
+  Pd q2 = *arena.ParsePd("A2 <= A7");
+  // A0*A2 is not in V: this one needs the expired closure.
+  Pd q3 = *arena.ParsePd("A0*A2 <= A9");
 
   PdImplicationEngine engine(&arena, pds);
-  bool v0 = engine.Implies(q0);  // warms the cache for q0
+  bool v0 = engine.Implies(q0);  // closes the closure over V
 
-  std::vector<Pd> queries = {q0, q1};
+  std::vector<Pd> queries = {q0, q1, q2, q3};
   auto results = engine.BatchImplies(queries, Expired());
-  ASSERT_EQ(results.size(), 2u);
-  // q0 was answerable from the cache without touching the closure.
+  ASSERT_EQ(results.size(), 4u);
+  // q0, q1 and q2 are answered by the closed closure without touching it.
+  PdImplicationEngine cold(&arena, pds);
   ASSERT_TRUE(results[0].ok());
   EXPECT_EQ(*results[0], v0);
-  // q1's subexpressions may already be covered by the warm closure (in
-  // which case it is answered without recomputing) or may require the
-  // expired-deadline closure. Accept either a verdict matching the cold
-  // engine or a clean deadline error — never a crash or a wrong verdict.
-  PdImplicationEngine cold(&arena, pds);
-  if (results[1].ok()) {
-    EXPECT_EQ(*results[1], cold.Implies(q1));
-  } else {
-    EXPECT_EQ(results[1].status().code(), StatusCode::kResourceExhausted);
+  for (int i : {1, 2}) {
+    ASSERT_TRUE(results[i].ok()) << i << ": " << results[i].status().ToString();
+    EXPECT_EQ(*results[i], cold.Implies(queries[i])) << i;
   }
+  // Only the query that needs the closure reports the deadline.
+  ASSERT_FALSE(results[3].ok());
+  EXPECT_EQ(results[3].status().code(), StatusCode::kResourceExhausted);
 }
 
 // --- Whitman deciders --------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -181,6 +182,35 @@ TEST(ImplicationTest, RestoreDedupesConstraints) {
   EXPECT_EQ(restored.constraints().size(), 2u);
   EXPECT_TRUE(restored.Implies(*arena.ParsePd("A <= B")));
   EXPECT_EQ(restored.stats().cold_closures, 0u);
+}
+
+// An engine copy owns every part of its state: once its source is gone,
+// the copy answers the queries the source was asked, and new ones, as a
+// cold engine does.
+TEST(ImplicationTest, CopyOutlivesItsSource) {
+  ExprArena arena;
+  const std::vector<Pd> e = {*arena.ParsePd("A <= B*C"),
+                             *arena.ParsePd("C = A+D")};
+  const std::vector<Pd> asked = {*arena.ParsePd("A <= B"),
+                                 *arena.ParsePd("B <= A"),
+                                 *arena.ParsePd("A*D = A")};
+  const std::vector<Pd> fresh = {*arena.ParsePd("A+E <= C+E"),
+                                 *arena.ParsePd("D <= A"),
+                                 *arena.ParsePd("B*E = A*E")};
+  auto source = std::make_unique<PdImplicationEngine>(&arena, e);
+  for (const Pd& q : asked) source->Implies(q);
+  PdImplicationEngine copy = *source;
+  source.reset();
+
+  PdImplicationEngine cold(&arena, e);
+  for (int round = 0; round < 2; ++round) {
+    for (const Pd& q : asked) {
+      EXPECT_EQ(copy.Implies(q), cold.Implies(q)) << arena.ToString(q);
+    }
+    for (const Pd& q : fresh) {
+      EXPECT_EQ(copy.Implies(q), cold.Implies(q)) << arena.ToString(q);
+    }
+  }
 }
 
 // --- random generators --------------------------------------------------------
