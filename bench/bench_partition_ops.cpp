@@ -165,9 +165,9 @@ void BM_MemoizedEval(benchmark::State& state) {
   DefineRandomAbcd(&interp, &rng, n);
   ExprArena arena;
   ExprId e = *arena.Parse("(A * B + C) * (B + C * D) + A * D");
-  EvalContext ctx;
+  EvalContext ctx(arena, interp);
   for (auto _ : state) {
-    auto r = ctx.Eval(arena, interp, e);
+    auto r = ctx.Eval(e);
     benchmark::DoNotOptimize(r.ok());
   }
   state.counters["memo_hits"] = static_cast<double>(ctx.stats().memo_hits);

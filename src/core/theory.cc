@@ -1,5 +1,7 @@
 #include "core/theory.h"
 
+#include "partition/eval_context.h"
+
 namespace psem {
 
 Status PdTheory::AddParsed(std::string_view text) {
@@ -62,8 +64,13 @@ std::optional<CounterModel> PdTheory::FindCounterexample(
 
 Result<bool> PdTheory::SatisfiedBy(const Database& db,
                                    const Relation& r) const {
+  // Definition 7 per PD, with I(r) built once and one memo across E.
+  if (r.empty()) return true;
+  PSEM_ASSIGN_OR_RETURN(PartitionInterpretation interp,
+                        CanonicalInterpretation(db, r));
+  EvalContext ctx(*arena_, interp);
   for (const Pd& pd : pds()) {
-    PSEM_ASSIGN_OR_RETURN(bool ok, RelationSatisfiesPd(db, r, *arena_, pd));
+    PSEM_ASSIGN_OR_RETURN(bool ok, ctx.Satisfies(pd));
     if (!ok) return false;
   }
   return true;

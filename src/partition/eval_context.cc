@@ -7,45 +7,34 @@
 
 namespace psem {
 
+EvalContext::EvalContext(const ExprArena& arena,
+                         const PartitionInterpretation& interp)
+    : arena_(arena), interp_(interp), epoch_(interp.epoch()) {
+  Flush();
+}
+
 void EvalContext::Flush() {
   memo_.clear();
   recency_.clear();
   atomic_dense_.clear();
-}
-
-void EvalContext::EnsureBound(const ExprArena& arena,
-                              const PartitionInterpretation& interp) {
-  const void* a = static_cast<const void*>(&arena);
-  const void* i = static_cast<const void*>(&interp);
-  if (a == bound_arena_ && i == bound_interp_ &&
-      interp.epoch() == bound_epoch_) {
-    return;
-  }
-  if (bound_arena_ != nullptr) ++stats_.epoch_flushes;
-  Flush();
-  bound_arena_ = a;
-  bound_interp_ = i;
-  bound_epoch_ = interp.epoch();
   // Universe: union of every defined attribute's population. Attributes
   // mentioned by an expression but not defined fail at their leaf with
   // kNotFound, matching the sparse reference.
   std::vector<Elem> pop;
-  for (const std::string& name : interp.attribute_names()) {
-    const Partition* atomic = interp.FindAtomic(name);
+  for (const std::string& name : interp_.attribute_names()) {
+    const Partition* atomic = interp_.FindAtomic(name);
     pop.insert(pop.end(), atomic->population().begin(),
                atomic->population().end());
   }
   universe_ = PartitionUniverse(std::move(pop));
 }
 
-Result<EvalContext::DenseRef> EvalContext::AtomicDense(
-    const ExprArena& arena, const PartitionInterpretation& interp,
-    ExprId leaf) {
-  AttrId attr = arena.AttrOf(leaf);
+Result<EvalContext::DenseRef> EvalContext::AtomicDense(ExprId leaf) {
+  AttrId attr = arena_.AttrOf(leaf);
   auto it = atomic_dense_.find(attr);
   if (it != atomic_dense_.end()) return it->second;
-  const std::string& name = arena.AttrName(attr);
-  const Partition* atomic = interp.FindAtomic(name);
+  const std::string& name = arena_.AttrName(attr);
+  const Partition* atomic = interp_.FindAtomic(name);
   if (atomic == nullptr) {
     return Status::NotFound("attribute '" + name + "' not interpreted");
   }
@@ -65,13 +54,7 @@ EvalContext::DenseRef EvalContext::Lookup(ExprId e) {
 
 void EvalContext::Insert(ExprId e, DenseRef value) {
   ++stats_.memo_misses;
-  auto it = memo_.find(e);
-  if (it != memo_.end()) {  // possible after a concurrent-epoch re-entry
-    recency_.splice(recency_.begin(), recency_, it->second.lru);
-    it->second.value = std::move(value);
-    return;
-  }
-  while (memo_.size() >= capacity_) {
+  while (memo_.size() >= kMemoCapacity) {
     memo_.erase(recency_.back());
     recency_.pop_back();
     ++stats_.memo_evictions;
@@ -80,10 +63,13 @@ void EvalContext::Insert(ExprId e, DenseRef value) {
   memo_.emplace(e, MemoEntry{std::move(value), recency_.begin()});
 }
 
-Result<EvalContext::DenseRef> EvalContext::EvalDense(
-    const ExprArena& arena, const PartitionInterpretation& interp, ExprId e,
-    const ExecContext& exec) {
-  EnsureBound(arena, interp);
+Result<EvalContext::DenseRef> EvalContext::EvalDense(ExprId e,
+                                                     const ExecContext& exec) {
+  if (interp_.epoch() != epoch_) {
+    ++stats_.epoch_flushes;
+    epoch_ = interp_.epoch();
+    Flush();
+  }
   // Collect the subexpressions that actually need computing, stopping the
   // descent at memo hits.
   std::vector<ExprId> needed;
@@ -99,9 +85,9 @@ Result<EvalContext::DenseRef> EvalContext::EvalDense(
       continue;
     }
     needed.push_back(id);
-    if (!arena.IsAttr(id)) {
-      stack.push_back(arena.LhsOf(id));
-      stack.push_back(arena.RhsOf(id));
+    if (!arena_.IsAttr(id)) {
+      stack.push_back(arena_.LhsOf(id));
+      stack.push_back(arena_.RhsOf(id));
     }
   }
   // Hash-consing appends operands before operators, so ascending ExprId
@@ -115,13 +101,13 @@ Result<EvalContext::DenseRef> EvalContext::EvalDense(
       PSEM_RETURN_IF_ERROR(exec.CheckSolverNodes(++call_nodes));
     }
     DenseRef val;
-    if (arena.IsAttr(id)) {
-      PSEM_ASSIGN_OR_RETURN(val, AtomicDense(arena, interp, id));
+    if (arena_.IsAttr(id)) {
+      PSEM_ASSIGN_OR_RETURN(val, AtomicDense(id));
     } else {
-      const DensePartition& l = *local.at(arena.LhsOf(id));
-      const DensePartition& r = *local.at(arena.RhsOf(id));
+      const DensePartition& l = *local.at(arena_.LhsOf(id));
+      const DensePartition& r = *local.at(arena_.RhsOf(id));
       auto out = std::make_shared<DensePartition>();
-      if (arena.KindOf(id) == ExprKind::kProduct) {
+      if (arena_.KindOf(id) == ExprKind::kProduct) {
         ops_.Product(l, r, out.get());
       } else {
         ops_.Sum(l, r, out.get());
@@ -135,19 +121,15 @@ Result<EvalContext::DenseRef> EvalContext::EvalDense(
   return local.at(e);
 }
 
-Result<Partition> EvalContext::Eval(const ExprArena& arena,
-                                    const PartitionInterpretation& interp,
-                                    ExprId e, const ExecContext& exec) {
-  PSEM_ASSIGN_OR_RETURN(DenseRef val, EvalDense(arena, interp, e, exec));
+Result<Partition> EvalContext::Eval(ExprId e, const ExecContext& exec) {
+  PSEM_ASSIGN_OR_RETURN(DenseRef val, EvalDense(e, exec));
   ++stats_.exprs_evaluated;
   return universe_.Sparsify(*val);
 }
 
-Result<bool> EvalContext::Satisfies(const ExprArena& arena,
-                                    const PartitionInterpretation& interp,
-                                    const Pd& pd, const ExecContext& exec) {
-  PSEM_ASSIGN_OR_RETURN(DenseRef l, EvalDense(arena, interp, pd.lhs, exec));
-  PSEM_ASSIGN_OR_RETURN(DenseRef r, EvalDense(arena, interp, pd.rhs, exec));
+Result<bool> EvalContext::Satisfies(const Pd& pd, const ExecContext& exec) {
+  PSEM_ASSIGN_OR_RETURN(DenseRef l, EvalDense(pd.lhs, exec));
+  PSEM_ASSIGN_OR_RETURN(DenseRef r, EvalDense(pd.rhs, exec));
   ++stats_.exprs_evaluated;
   if (pd.is_equation) return *l == *r;
   DensePartition prod;

@@ -4,16 +4,17 @@
 
 // EvalContext is the data-path counterpart of the hash-consed ExprArena:
 // the arena makes structurally equal subexpressions share one ExprId, and
-// the context makes them share one computed partition. Evaluation runs
-// bottom-up over the DAG (children of a node always have smaller ExprIds
-// than the node — the arena appends nodes after their operands), on dense
-// partitions over one interned PartitionUniverse, with results memoized
-// per (ExprId, interpretation epoch):
+// the context makes them share one computed partition. A context is bound
+// to one arena and one interpretation when it is constructed; both must
+// outlive it. Evaluation runs bottom-up over the DAG (children of a node
+// always have smaller ExprIds than the node — the arena appends nodes
+// after their operands), on dense partitions over one interned
+// PartitionUniverse, with results memoized per ExprId:
 //
 //  * the interpretation's epoch is bumped by every DefineAttribute, so a
 //    mutated interpretation can never be served a stale partition — the
 //    first evaluation after a mutation flushes the memo;
-//  * the memo is LRU-bounded (default 4096 entries); values are
+//  * the memo is LRU-bounded (kMemoCapacity entries); values are
 //    shared_ptrs, so an eviction never invalidates a value an in-flight
 //    evaluation still holds;
 //  * hit/miss/eviction/flush counters are exposed AlgStats-style through
@@ -26,8 +27,8 @@
 // before the trip stay memoized; nothing half-written is published).
 //
 // Thread-compatibility: an EvalContext may be driven by one thread at a
-// time (PartitionInterpretation wraps its private context in a mutex for
-// const-concurrent Eval/Satisfies).
+// time. PartitionInterpretation::Eval/Satisfies build a local context per
+// call, so a const interpretation is shareable across threads.
 
 #ifndef PSEM_PARTITION_EVAL_CONTEXT_H_
 #define PSEM_PARTITION_EVAL_CONTEXT_H_
@@ -47,51 +48,43 @@
 
 namespace psem {
 
-/// Counters for the memoized evaluator (AlgStats-style; cumulative until
-/// ResetStats).
+/// Counters for the memoized evaluator (AlgStats-style; cumulative over
+/// the context's life).
 struct PartitionEvalStats {
   uint64_t memo_hits = 0;        ///< subexpressions served from the memo.
   uint64_t memo_misses = 0;      ///< subexpressions actually computed.
   uint64_t memo_evictions = 0;   ///< LRU evictions.
-  uint64_t epoch_flushes = 0;    ///< full flushes due to epoch/binding change.
+  uint64_t epoch_flushes = 0;    ///< full flushes due to an epoch change.
   uint64_t kernel_ops = 0;       ///< dense Product/Sum kernel invocations.
   uint64_t exprs_evaluated = 0;  ///< root expressions returned to callers.
 };
 
-/// Memoized evaluator. Bind-per-call: every entry point takes the arena
-/// and interpretation; the context detects binding or epoch changes and
-/// flushes itself. Values returned to callers are sparse canonical
-/// Partitions (bit-identical to PartitionInterpretation::EvalSparse).
+/// Memoized evaluator bound to one (arena, interpretation) pair. Values
+/// returned to callers are sparse canonical Partitions (bit-identical to
+/// PartitionInterpretation::EvalSparse).
 class EvalContext {
  public:
-  static constexpr std::size_t kDefaultMemoCapacity = 4096;
+  static constexpr std::size_t kMemoCapacity = 4096;
 
-  explicit EvalContext(std::size_t memo_capacity = kDefaultMemoCapacity)
-      : capacity_(memo_capacity == 0 ? 1 : memo_capacity) {}
+  /// Binds to `arena` and `interp`, which must outlive the context.
+  EvalContext(const ExprArena& arena, const PartitionInterpretation& interp);
   // Not copyable: memo_ holds iterators into this object's own recency_
   // list, which a copy would share with (and outlive) its source.
   EvalContext(const EvalContext&) = delete;
   EvalContext& operator=(const EvalContext&) = delete;
 
-  /// Meaning of `e` under `interp` (Section 3.1 structural induction),
-  /// memoized. Identical results to PartitionInterpretation::EvalSparse.
-  Result<Partition> Eval(const ExprArena& arena,
-                         const PartitionInterpretation& interp, ExprId e,
+  /// Meaning of `e` under the bound interpretation (Section 3.1
+  /// structural induction), memoized. Identical results to
+  /// PartitionInterpretation::EvalSparse.
+  Result<Partition> Eval(ExprId e,
                          const ExecContext& exec = ExecContext::Unbounded());
 
   /// I |= pd (Definition 3), on dense values without sparsifying.
-  Result<bool> Satisfies(const ExprArena& arena,
-                         const PartitionInterpretation& interp, const Pd& pd,
+  Result<bool> Satisfies(const Pd& pd,
                          const ExecContext& exec = ExecContext::Unbounded());
 
   const PartitionEvalStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = PartitionEvalStats{}; }
-
-  /// Drops every memoized value (keeps stats and capacity).
-  void Flush();
-
   std::size_t memo_size() const { return memo_.size(); }
-  std::size_t memo_capacity() const { return capacity_; }
 
  private:
   using DenseRef = std::shared_ptr<const DensePartition>;
@@ -101,15 +94,12 @@ class EvalContext {
     std::list<ExprId>::iterator lru;
   };
 
-  /// Re-binds to (arena, interp) if either changed or the epoch moved;
-  /// flushing the memo and rebuilding the universe when it did.
-  void EnsureBound(const ExprArena& arena,
-                   const PartitionInterpretation& interp);
+  /// Drops every memoized value and rebuilds the universe from the
+  /// interpretation's current attributes.
+  void Flush();
 
   /// Dense atomic partition of an attribute leaf (cached per AttrId).
-  Result<DenseRef> AtomicDense(const ExprArena& arena,
-                               const PartitionInterpretation& interp,
-                               ExprId leaf);
+  Result<DenseRef> AtomicDense(ExprId leaf);
 
   /// Memo lookup; touches LRU on hit and counts the hit.
   DenseRef Lookup(ExprId e);
@@ -118,21 +108,15 @@ class EvalContext {
   void Insert(ExprId e, DenseRef value);
 
   /// The workhorse: evaluates `e` bottom-up with memoization.
-  Result<DenseRef> EvalDense(const ExprArena& arena,
-                             const PartitionInterpretation& interp, ExprId e,
-                             const ExecContext& exec);
+  Result<DenseRef> EvalDense(ExprId e, const ExecContext& exec);
 
-  // Binding identity: pointers + epoch. A dangling pointer is never
-  // dereferenced — it only ever participates in the equality test, and a
-  // reused address with a different epoch still flushes.
-  const void* bound_arena_ = nullptr;
-  const void* bound_interp_ = nullptr;
-  uint64_t bound_epoch_ = 0;
+  const ExprArena& arena_;
+  const PartitionInterpretation& interp_;
+  uint64_t epoch_;  // interp_.epoch() the memo and universe reflect
 
   PartitionUniverse universe_;
   std::unordered_map<AttrId, DenseRef> atomic_dense_;
 
-  std::size_t capacity_;
   std::unordered_map<ExprId, MemoEntry> memo_;
   std::list<ExprId> recency_;  // front = most recent
 

@@ -6,46 +6,6 @@
 
 namespace psem {
 
-PartitionInterpretation::PartitionInterpretation() = default;
-PartitionInterpretation::~PartitionInterpretation() = default;
-
-PartitionInterpretation::PartitionInterpretation(
-    const PartitionInterpretation& other)
-    : attrs_(other.attrs_),
-      attr_order_(other.attr_order_),
-      epoch_(other.epoch_) {}
-
-PartitionInterpretation& PartitionInterpretation::operator=(
-    const PartitionInterpretation& other) {
-  if (this == &other) return *this;
-  attrs_ = other.attrs_;
-  attr_order_ = other.attr_order_;
-  epoch_ = other.epoch_;
-  std::lock_guard<std::mutex> lock(eval_mu_);
-  eval_ctx_.reset();  // cold cache; EnsureBound would flush anyway
-  return *this;
-}
-
-PartitionInterpretation::PartitionInterpretation(
-    PartitionInterpretation&& other) noexcept
-    : attrs_(std::move(other.attrs_)),
-      attr_order_(std::move(other.attr_order_)),
-      epoch_(other.epoch_) {
-  // The context binds to the source's address; dropping it instead of
-  // moving keeps the binding invariant trivially true.
-}
-
-PartitionInterpretation& PartitionInterpretation::operator=(
-    PartitionInterpretation&& other) noexcept {
-  if (this == &other) return *this;
-  attrs_ = std::move(other.attrs_);
-  attr_order_ = std::move(other.attr_order_);
-  epoch_ = other.epoch_;
-  std::lock_guard<std::mutex> lock(eval_mu_);
-  eval_ctx_.reset();
-  return *this;
-}
-
 Status PartitionInterpretation::DefineAttribute(
     const std::string& name, Partition atomic,
     const std::unordered_map<std::string, uint32_t>& naming) {
@@ -77,7 +37,7 @@ Status PartitionInterpretation::DefineAttribute(
   }
   if (!attrs_.count(name)) attr_order_.push_back(name);
   attrs_[name] = AttrInterp{std::move(atomic), naming, std::move(block_symbol)};
-  ++epoch_;  // invalidates every memoized evaluation of this interpretation
+  ++epoch_;  // flushes every EvalContext bound to this interpretation
   return Status::OK();
 }
 
@@ -142,16 +102,12 @@ Result<Partition> PartitionInterpretation::EvalSparse(const ExprArena& arena,
 
 Result<Partition> PartitionInterpretation::Eval(const ExprArena& arena,
                                                 ExprId e) const {
-  std::lock_guard<std::mutex> lock(eval_mu_);
-  if (!eval_ctx_) eval_ctx_ = std::make_unique<EvalContext>();
-  return eval_ctx_->Eval(arena, *this, e);
+  return EvalContext(arena, *this).Eval(e);
 }
 
 Result<bool> PartitionInterpretation::Satisfies(const ExprArena& arena,
                                                 const Pd& pd) const {
-  std::lock_guard<std::mutex> lock(eval_mu_);
-  if (!eval_ctx_) eval_ctx_ = std::make_unique<EvalContext>();
-  return eval_ctx_->Satisfies(arena, *this, pd);
+  return EvalContext(arena, *this).Satisfies(pd);
 }
 
 Result<std::vector<Elem>> PartitionInterpretation::TupleMeaning(

@@ -13,8 +13,6 @@
 #define PSEM_PARTITION_INTERPRETATION_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -28,28 +26,19 @@
 
 namespace psem {
 
-class EvalContext;
-
 /// A partition interpretation over (a subset of) a Universe's attributes.
 /// Attributes are addressed by name so that expressions from any ExprArena
 /// can be evaluated against it.
 ///
-/// Evaluation (Eval/Satisfies) runs on the dense kernel layer through a
-/// private, lazily-created EvalContext (partition/eval_context.h): shared
-/// subexpressions are memoized per (ExprId, epoch), and the epoch — bumped
-/// by every DefineAttribute — guarantees no stale partition is ever served
-/// after a mutation. EvalSparse is the paper-literal reference path the
-/// differential tests pit the kernels against. Const access (including
-/// Eval/Satisfies, which lock the embedded context) is thread-safe.
+/// Eval/Satisfies are one-shot: each call evaluates on the dense kernel
+/// layer through a local EvalContext (partition/eval_context.h), which
+/// shares subexpressions within the call. The interpretation keeps no
+/// cache; a caller that evaluates many expressions against one
+/// interpretation holds its own EvalContext to keep the memo across
+/// calls. EvalSparse is the paper-literal reference path the differential
+/// tests pit the kernels against. Const access is thread-safe.
 class PartitionInterpretation {
  public:
-  PartitionInterpretation();
-  ~PartitionInterpretation();
-  PartitionInterpretation(const PartitionInterpretation& other);
-  PartitionInterpretation& operator=(const PartitionInterpretation& other);
-  PartitionInterpretation(PartitionInterpretation&& other) noexcept;
-  PartitionInterpretation& operator=(PartitionInterpretation&& other) noexcept;
-
   /// Defines attribute `name`: its atomic partition and naming function.
   /// `naming` maps symbol names to block labels of `atomic`; it must be a
   /// bijection onto the blocks (Definition 1 condition 3). Symbols absent
@@ -75,7 +64,7 @@ class PartitionInterpretation {
 
   /// Meaning of a partition expression (structural induction of Section
   /// 3.1): attributes evaluate to their atomic partitions; * and + to
-  /// partition product and sum. Memoized on the dense kernel layer;
+  /// partition product and sum. Evaluated on the dense kernel layer;
   /// bit-identical to EvalSparse.
   Result<Partition> Eval(const ExprArena& arena, ExprId e) const;
 
@@ -85,12 +74,12 @@ class PartitionInterpretation {
   Result<Partition> EvalSparse(const ExprArena& arena, ExprId e) const;
 
   /// I |= e = e' (Definition 3): equal partitions over equal populations.
-  /// For the <= form: lhs == lhs * rhs. Memoized like Eval.
+  /// For the <= form: lhs == lhs * rhs. Evaluated like Eval.
   Result<bool> Satisfies(const ExprArena& arena, const Pd& pd) const;
 
-  /// Mutation counter: bumped by every DefineAttribute. The memoized
-  /// evaluation path keys its cache on this, so observing an unchanged
-  /// epoch guarantees cached partitions are current.
+  /// Mutation counter: bumped by every DefineAttribute. An EvalContext
+  /// bound to this interpretation flushes its memo when the epoch moves,
+  /// so an unchanged epoch guarantees its cached partitions are current.
   uint64_t epoch() const { return epoch_; }
 
   /// The atomic partition of `name` without copying, or nullptr when the
@@ -142,12 +131,6 @@ class PartitionInterpretation {
   std::unordered_map<std::string, AttrInterp> attrs_;
   std::vector<std::string> attr_order_;
   uint64_t epoch_ = 0;
-
-  // Lazily-created memoized evaluator behind Eval/Satisfies. Guarded by
-  // eval_mu_ so const evaluation stays safe to call concurrently; never
-  // copied (a copy starts with a cold cache).
-  mutable std::mutex eval_mu_;
-  mutable std::unique_ptr<EvalContext> eval_ctx_;
 };
 
 }  // namespace psem

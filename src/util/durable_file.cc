@@ -227,17 +227,6 @@ Result<ChunkContainer> DecodeChunkContainer(std::string_view bytes,
   return out;
 }
 
-Status WriteChunkFile(const std::string& path, uint32_t version,
-                      const std::vector<Chunk>& chunks) {
-  return AtomicWriteFile(path, EncodeChunkContainer(version, chunks));
-}
-
-Result<ChunkContainer> ReadChunkFile(const std::string& path,
-                                     const DurableLimits& limits) {
-  PSEM_ASSIGN_OR_RETURN(std::string bytes, ReadFileBounded(path, limits));
-  return DecodeChunkContainer(bytes, limits);
-}
-
 Result<JournalContents> ParseJournalBytes(std::string_view bytes,
                                           const DurableLimits& limits) {
   if (bytes.size() > limits.max_file_bytes) {

@@ -201,14 +201,6 @@ struct ChunkContainer {
 Result<ChunkContainer> DecodeChunkContainer(std::string_view bytes,
                                             const DurableLimits& limits = {});
 
-/// EncodeChunkContainer + AtomicWriteFile.
-Status WriteChunkFile(const std::string& path, uint32_t version,
-                      const std::vector<Chunk>& chunks);
-
-/// ReadFileBounded + DecodeChunkContainer.
-Result<ChunkContainer> ReadChunkFile(const std::string& path,
-                                     const DurableLimits& limits = {});
-
 // --- append-only journal -----------------------------------------------------
 
 /// Outcome of scanning journal bytes: the records of the valid prefix,

@@ -1,13 +1,15 @@
 // Memo-correctness tests for the memoized evaluation path (EvalContext +
 // PartitionInterpretation::Eval): hit/miss accounting, epoch-based
 // invalidation (mutating the interpretation must never serve a stale
-// partition), LRU bounding, ExecContext governance (abort keeps partial
-// stats and leaves the engine reusable), and differential agreement of
-// the memoized path with EvalSparse on random DAGs.
+// partition), no memo outliving the arena it was built from, LRU
+// bounding, ExecContext governance (abort keeps partial stats and leaves
+// the engine reusable), and differential agreement of the memoized path
+// with EvalSparse on random DAGs.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -55,15 +57,15 @@ TEST(EvalMemoTest, HitMissCountersOnSharedDag) {
   ExprArena arena;
   ExprId ab = arena.Product(arena.Attr("A"), arena.Attr("B"));
   ExprId root = arena.Sum(ab, ab);  // hash-consed: ab appears once
-  EvalContext ctx;
+  EvalContext ctx(arena, interp);
 
-  Result<Partition> r1 = ctx.Eval(arena, interp, root);
+  Result<Partition> r1 = ctx.Eval(root);
   ASSERT_TRUE(r1.ok());
   // Distinct nodes: A, B, A*B, (A*B)+(A*B) — all cold.
   EXPECT_EQ(ctx.stats().memo_misses, 4u);
   EXPECT_EQ(ctx.stats().memo_hits, 0u);
 
-  Result<Partition> r2 = ctx.Eval(arena, interp, root);
+  Result<Partition> r2 = ctx.Eval(root);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(*r1, *r2);
   // Second evaluation is served at the root.
@@ -72,7 +74,7 @@ TEST(EvalMemoTest, HitMissCountersOnSharedDag) {
 
   // A sibling expression reuses the shared subtree.
   ExprId root2 = arena.Product(ab, arena.Attr("C"));
-  Result<Partition> r3 = ctx.Eval(arena, interp, root2);
+  Result<Partition> r3 = ctx.Eval(root2);
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(ctx.stats().memo_hits, 2u);  // ab served from memo
   EXPECT_EQ(*r3, *interp.EvalSparse(arena, root2));
@@ -84,10 +86,10 @@ TEST(EvalMemoTest, MutationNeverServesStaleValue) {
   Define(&interp, "B", 4, {0, 1, 0, 1});
   ExprArena arena;
   ExprId e = arena.Product(arena.Attr("A"), arena.Attr("B"));
-  EvalContext ctx;
+  EvalContext ctx(arena, interp);
 
   uint64_t epoch_before = interp.epoch();
-  Result<Partition> before = ctx.Eval(arena, interp, e);
+  Result<Partition> before = ctx.Eval(e);
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(*before, *interp.EvalSparse(arena, e));
 
@@ -95,7 +97,7 @@ TEST(EvalMemoTest, MutationNeverServesStaleValue) {
   Define(&interp, "B", 4, {0, 0, 0, 0});
   EXPECT_GT(interp.epoch(), epoch_before);
 
-  Result<Partition> after = ctx.Eval(arena, interp, e);
+  Result<Partition> after = ctx.Eval(e);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*after, *interp.EvalSparse(arena, e));
   EXPECT_EQ(*after, *interp.AtomicPartition("A"));
@@ -106,8 +108,8 @@ TEST(EvalMemoTest, MutationNeverServesStaleValue) {
 }
 
 TEST(EvalMemoTest, InterpretationEvalPathFlushesOnMutation) {
-  // Same property through the public PartitionInterpretation::Eval, which
-  // owns its private EvalContext.
+  // Same property through the one-shot PartitionInterpretation::Satisfies,
+  // which evaluates through a local EvalContext per call.
   PartitionInterpretation interp;
   Define(&interp, "A", 4, {0, 0, 1, 1});
   Define(&interp, "B", 4, {0, 1, 0, 1});
@@ -125,6 +127,8 @@ TEST(EvalMemoTest, InterpretationEvalPathFlushesOnMutation) {
 }
 
 TEST(EvalMemoTest, CopiedInterpretationStartsColdButAgrees) {
+  // An interpretation is a plain value: a copy evaluates alike and is
+  // independent of its source.
   PartitionInterpretation interp;
   DefineAbc(&interp);
   ExprArena arena;
@@ -143,26 +147,65 @@ TEST(EvalMemoTest, CopiedInterpretationStartsColdButAgrees) {
   EXPECT_EQ(*interp.Eval(arena, e), *orig);
 }
 
+TEST(EvalMemoTest, RecycledArenaAddressNeverServesStalePartition) {
+  // A second arena built at the address of a destroyed one reuses its
+  // ExprIds for different expressions: A * B there is id 2, A + B here.
+  PartitionInterpretation interp;
+  Define(&interp, "A", 4, {0, 0, 1, 1});
+  Define(&interp, "B", 4, {0, 1, 0, 1});
+  std::optional<ExprArena> arena;
+  arena.emplace();
+  Result<bool> first = interp.Satisfies(*arena, *arena->ParsePd("A * B = A"));
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(*first);
+  arena.reset();
+  arena.emplace();
+
+  ExprId sum = arena->Sum(arena->Attr("A"), arena->Attr("B"));
+  Result<Partition> got = interp.Eval(*arena, sum);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, *interp.EvalSparse(*arena, sum));
+  EXPECT_EQ(got->num_blocks(), 1u);
+  Result<bool> sat =
+      interp.Satisfies(*arena, *arena->ParsePd("A + B = A * B"));
+  ASSERT_TRUE(sat.ok());
+  EXPECT_FALSE(*sat);
+}
+
 TEST(EvalMemoTest, LruEvictionKeepsResultsCorrect) {
   PartitionInterpretation interp;
   DefineAbc(&interp);
   ExprArena arena;
   // A left-nested chain with more distinct nodes than the memo holds.
-  ExprId e = arena.Attr("A");
-  for (int i = 0; i < 12; ++i) {
-    e = (i % 2 == 0) ? arena.Product(e, arena.Attr("B"))
-                     : arena.Sum(e, arena.Attr("C"));
+  // EvalSparse would recurse once per link, so the reference for the
+  // root folds the same sparse operations link by link.
+  const Partition b = *interp.AtomicPartition("B");
+  const Partition c = *interp.AtomicPartition("C");
+  std::vector<ExprId> chain{arena.Attr("A")};
+  Partition want = *interp.AtomicPartition("A");
+  while (chain.size() <= EvalContext::kMemoCapacity) {
+    ExprId prev = chain.back();
+    if (chain.size() % 2 == 1) {
+      chain.push_back(arena.Product(prev, arena.Attr("B")));
+      want = Partition::Product(want, b);
+    } else {
+      chain.push_back(arena.Sum(prev, arena.Attr("C")));
+      want = Partition::Sum(want, c);
+    }
   }
-  EvalContext tiny(3);
-  EXPECT_EQ(tiny.memo_capacity(), 3u);
-  Result<Partition> got = tiny.Eval(arena, interp, e);
+  EvalContext ctx(arena, interp);
+  Result<Partition> got = ctx.Eval(chain.back());
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, *interp.EvalSparse(arena, e));
-  EXPECT_GT(tiny.stats().memo_evictions, 0u);
-  EXPECT_LE(tiny.memo_size(), 3u);
-  // Still correct (and still bounded) on re-evaluation.
-  EXPECT_EQ(*tiny.Eval(arena, interp, e), *got);
-  EXPECT_LE(tiny.memo_size(), 3u);
+  EXPECT_EQ(*got, want);
+  EXPECT_GT(ctx.stats().memo_evictions, 0u);
+  EXPECT_LE(ctx.memo_size(), EvalContext::kMemoCapacity);
+  // Still correct (and still bounded) on re-evaluation, also of the early
+  // links, whose values were evicted.
+  EXPECT_EQ(*ctx.Eval(chain.back()), want);
+  for (std::size_t i = 1; i < 16; ++i) {
+    EXPECT_EQ(*ctx.Eval(chain[i]), *interp.EvalSparse(arena, chain[i]));
+  }
+  EXPECT_LE(ctx.memo_size(), EvalContext::kMemoCapacity);
 }
 
 TEST(EvalMemoTest, CancelAbortsWithPartialStatsAndStaysUsable) {
@@ -171,18 +214,18 @@ TEST(EvalMemoTest, CancelAbortsWithPartialStatsAndStaysUsable) {
   ExprArena arena;
   ExprId e = *arena.Parse("(A * B + C) * (B + C) + A * C");
 
-  EvalContext ctx;
+  EvalContext ctx(arena, interp);
   CancelToken token;
   token.Cancel();
   ExecContext cancelled;
   cancelled.WithCancelToken(token);
-  Result<Partition> aborted = ctx.Eval(arena, interp, e, cancelled);
+  Result<Partition> aborted = ctx.Eval(e, cancelled);
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(aborted.status().code(), StatusCode::kCancelled);
 
   // Partial stats survive the abort and the context remains usable.
   PartitionEvalStats after_abort = ctx.stats();
-  Result<Partition> retried = ctx.Eval(arena, interp, e);
+  Result<Partition> retried = ctx.Eval(e);
   ASSERT_TRUE(retried.ok());
   EXPECT_EQ(*retried, *interp.EvalSparse(arena, e));
   EXPECT_GE(ctx.stats().memo_misses, after_abort.memo_misses);
@@ -194,25 +237,25 @@ TEST(EvalMemoTest, SolverNodeBudgetAbortsAndRetrySucceeds) {
   ExprArena arena;
   ExprId e = *arena.Parse("(A * B + C) * (B + C) + A * C");
 
-  EvalContext ctx;
+  EvalContext ctx(arena, interp);
   ExecContext budgeted;
   budgeted.WithMaxSolverNodes(2);  // the DAG needs more nodes than this
-  Result<Partition> aborted = ctx.Eval(arena, interp, e, budgeted);
+  Result<Partition> aborted = ctx.Eval(e, budgeted);
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(aborted.status().code(), StatusCode::kResourceExhausted);
 
-  Result<Partition> ok = ctx.Eval(arena, interp, e);
+  Result<Partition> ok = ctx.Eval(e);
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(*ok, *interp.EvalSparse(arena, e));
 
   // An expired deadline behaves the same way.
   ExecContext timed;
   timed.WithTimeout(std::chrono::nanoseconds(0));
-  EvalContext ctx2;
-  Result<Partition> timed_out = ctx2.Eval(arena, interp, e, timed);
+  EvalContext ctx2(arena, interp);
+  Result<Partition> timed_out = ctx2.Eval(e, timed);
   ASSERT_FALSE(timed_out.ok());
   EXPECT_EQ(timed_out.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(ctx2.Eval(arena, interp, e).ok());
+  EXPECT_TRUE(ctx2.Eval(e).ok());
 }
 
 TEST(EvalMemoTest, SharedMemoAgreesWithSparseReferenceOnRandomDags) {
@@ -241,9 +284,9 @@ TEST(EvalMemoTest, SharedMemoAgreesWithSparseReferenceOnRandomDags) {
     }
     std::vector<ExprId> roots(nodes.end() - 8, nodes.end());
 
-    EvalContext ctx;
+    EvalContext ctx(arena, interp);
     for (ExprId root : roots) {
-      Result<Partition> got = ctx.Eval(arena, interp, root);
+      Result<Partition> got = ctx.Eval(root);
       Result<Partition> ref = interp.EvalSparse(arena, root);
       ASSERT_TRUE(got.ok());
       ASSERT_TRUE(ref.ok());
@@ -254,7 +297,7 @@ TEST(EvalMemoTest, SharedMemoAgreesWithSparseReferenceOnRandomDags) {
     for (std::size_t i = 0; i + 1 < roots.size(); i += 2) {
       Pd pd = rng.Chance(1, 2) ? Pd::Eq(roots[i], roots[i + 1])
                                : Pd::Leq(roots[i], roots[i + 1]);
-      Result<bool> got = ctx.Satisfies(arena, interp, pd);
+      Result<bool> got = ctx.Satisfies(pd);
       Result<bool> one = interp.Satisfies(arena, pd);
       ASSERT_TRUE(got.ok());
       ASSERT_TRUE(one.ok());
@@ -275,17 +318,17 @@ TEST(EvalMemoTest, PartialAbortLeavesSharedMemoReusable) {
   }
   // The deepest root needs 21 fresh nodes; a budget of 8 trips after the
   // first 8 are computed, and those stay memoized for the other roots.
-  EvalContext ctx;
+  EvalContext ctx(arena, interp);
   ExecContext budgeted;
   budgeted.WithMaxSolverNodes(8);
-  Result<Partition> aborted = ctx.Eval(arena, interp, roots.back(), budgeted);
+  Result<Partition> aborted = ctx.Eval(roots.back(), budgeted);
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(aborted.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(ctx.memo_size(), 8u);
 
   const uint64_t hits_before = ctx.stats().memo_hits;
   for (ExprId root : roots) {
-    Result<Partition> ok = ctx.Eval(arena, interp, root);
+    Result<Partition> ok = ctx.Eval(root);
     ASSERT_TRUE(ok.ok());
     EXPECT_EQ(*ok, *interp.EvalSparse(arena, root));
   }
@@ -297,13 +340,13 @@ TEST(EvalMemoTest, UndefinedAttributeIsNotFoundAndRecoverable) {
   Define(&interp, "A", 3, {0, 1, 1});
   ExprArena arena;
   ExprId e = arena.Product(arena.Attr("A"), arena.Attr("Z"));
-  EvalContext ctx;
-  Result<Partition> missing = ctx.Eval(arena, interp, e);
+  EvalContext ctx(arena, interp);
+  Result<Partition> missing = ctx.Eval(e);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
   // Defining Z (epoch bump) recovers without a stale verdict.
   Define(&interp, "Z", 3, {0, 0, 1});
-  Result<Partition> found = ctx.Eval(arena, interp, e);
+  Result<Partition> found = ctx.Eval(e);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(*found, *interp.EvalSparse(arena, e));
 }

@@ -279,15 +279,15 @@ TEST_F(FailPointTest, IoShortReadDetectedByFramingThenRecovers) {
   SKIP_WITHOUT_FAILPOINTS();
   const std::string path = TempPath("short_read.bin");
   std::vector<Chunk> chunks = {Chunk{ChunkTag("TEST"), "payload-bytes"}};
-  ASSERT_TRUE(WriteChunkFile(path, 1, chunks).ok());
+  ASSERT_TRUE(AtomicWriteFile(path, EncodeChunkContainer(1, chunks)).ok());
 
   FailPoints::Arm(failpoints::kIoShortRead, 1);
-  auto torn = ReadChunkFile(path);
+  auto torn = DecodeChunkContainer(*ReadFileBounded(path));
   ASSERT_FALSE(torn.ok());
   EXPECT_EQ(torn.status().code(), StatusCode::kDataLoss);
 
   FailPoints::DisarmAll();
-  auto clean = ReadChunkFile(path);
+  auto clean = DecodeChunkContainer(*ReadFileBounded(path));
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   ASSERT_EQ(clean->chunks.size(), 1u);
   EXPECT_EQ(clean->chunks[0].payload, "payload-bytes");
@@ -298,15 +298,15 @@ TEST_F(FailPointTest, IoBitFlipCaughtByChecksumThenRecovers) {
   SKIP_WITHOUT_FAILPOINTS();
   const std::string path = TempPath("bit_flip.bin");
   std::vector<Chunk> chunks = {Chunk{ChunkTag("TEST"), "payload-bytes"}};
-  ASSERT_TRUE(WriteChunkFile(path, 1, chunks).ok());
+  ASSERT_TRUE(AtomicWriteFile(path, EncodeChunkContainer(1, chunks)).ok());
 
   FailPoints::Arm(failpoints::kIoBitFlip, 1);
-  auto flipped = ReadChunkFile(path);
+  auto flipped = DecodeChunkContainer(*ReadFileBounded(path));
   ASSERT_FALSE(flipped.ok());
   EXPECT_EQ(flipped.status().code(), StatusCode::kDataLoss);
 
   FailPoints::DisarmAll();
-  auto clean = ReadChunkFile(path);
+  auto clean = DecodeChunkContainer(*ReadFileBounded(path));
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   ASSERT_EQ(clean->chunks.size(), 1u);
   EXPECT_EQ(clean->chunks[0].payload, "payload-bytes");

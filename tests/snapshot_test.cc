@@ -479,7 +479,7 @@ TEST_F(SnapshotTest, Version1SnapshotDegradesToColdRecompute) {
   // Rewrite the file as version 1 wrote it: META also carried the seeded
   // vertex count and a closure_valid byte, and an empty DLTA chunk
   // followed ROWS.
-  auto file = ReadChunkFile(snapshot_);
+  auto file = DecodeChunkContainer(*ReadFileBounded(snapshot_));
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   std::vector<Chunk> chunks = file->chunks;
   ASSERT_EQ(chunks[0].tag, ChunkTag("META"));
@@ -499,7 +499,8 @@ TEST_F(SnapshotTest, Version1SnapshotDegradesToColdRecompute) {
   ByteWriter dlta;
   dlta.U32(0);
   chunks.push_back(Chunk{ChunkTag("DLTA"), dlta.Take()});
-  ASSERT_TRUE(WriteChunkFile(snapshot_, 1, chunks).ok());
+  ASSERT_TRUE(
+      AtomicWriteFile(snapshot_, EncodeChunkContainer(1, chunks)).ok());
 
   ExprArena arena2;
   auto base2 = BaseTheory(&arena2);

@@ -8,6 +8,7 @@
 #include "core/proof.h"
 #include "core/theory.h"
 #include "relational/dependency.h"
+#include "util/rng.h"
 
 namespace psem {
 namespace {
@@ -115,6 +116,45 @@ TEST(PdTheoryTest, SatisfiedByRelation) {
   EXPECT_TRUE(*t.SatisfiedBy(db, r));
   r.AddRow(&db.symbols(), {"a1", "b2"});
   EXPECT_FALSE(*t.SatisfiedBy(db, r));
+
+  // Differential over random relations x theories: SatisfiedBy (I(r)
+  // built once, one memo across E) agrees with per-PD RelationSatisfiesPd.
+  const char* texts[] = {"A",     "B",     "C",     "A*B", "A+B",
+                         "B*C",   "B+C",   "A*C",   "A+C", "A*B+C",
+                         "(A+B)*C"};
+  Rng rng(0x5a7);
+  int held = 0, failed = 0;
+  for (int it = 0; it < 200; ++it) {
+    PdTheory theory;
+    std::vector<ExprId> exprs;
+    for (const char* text : texts) {
+      exprs.push_back(*theory.arena().Parse(text));
+    }
+    for (uint64_t k = rng.Below(4); k > 0; --k) {
+      ExprId l = exprs[rng.Below(exprs.size())];
+      ExprId rhs = exprs[rng.Below(exprs.size())];
+      theory.Add(rng.Chance(1, 2) ? Pd::Eq(l, rhs) : Pd::Leq(l, rhs));
+    }
+    Database rdb;
+    Relation& rel = rdb.relation(rdb.AddRelation("R", {"A", "B", "C"}));
+    for (uint64_t k = rng.Below(6); k > 0; --k) {
+      rel.AddRow(&rdb.symbols(), {"a" + std::to_string(rng.Below(2)),
+                                  "b" + std::to_string(rng.Below(3)),
+                                  "c" + std::to_string(rng.Below(2))});
+    }
+    bool want = true;
+    for (const Pd& pd : theory.pds()) {
+      Result<bool> one = RelationSatisfiesPd(rdb, rel, theory.arena(), pd);
+      ASSERT_TRUE(one.ok());
+      want = want && *one;
+    }
+    Result<bool> got = theory.SatisfiedBy(rdb, rel);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, want) << "case " << it;
+    ++(want ? held : failed);
+  }
+  EXPECT_GT(held, 0);
+  EXPECT_GT(failed, 0);
 }
 
 TEST(PdTheoryTest, ImpliedPdsHoldInSatisfyingRelations) {
