@@ -50,23 +50,13 @@ namespace {
 // names into the universe); otherwise nullopt.
 std::optional<AttrSet> AsAttrProduct(const ExprArena& arena,
                                      Universe* universe, ExprId e) {
-  std::vector<ExprId> stack{e};
+  // Factors intern left to right: PostOrder yields attributes in order of
+  // first occurrence, and the walk stops at sums.
+  auto sum = [&](ExprId x) { return arena.KindOf(x) == ExprKind::kSum; };
   std::vector<std::string> names;
-  while (!stack.empty()) {
-    ExprId cur = stack.back();
-    stack.pop_back();
-    switch (arena.KindOf(cur)) {
-      case ExprKind::kAttr:
-        names.push_back(arena.AttrName(arena.AttrOf(cur)));
-        break;
-      case ExprKind::kProduct:
-        // Right first so the left factor pops (and interns) first.
-        stack.push_back(arena.RhsOf(cur));
-        stack.push_back(arena.LhsOf(cur));
-        break;
-      case ExprKind::kSum:
-        return std::nullopt;
-    }
+  for (ExprId x : arena.PostOrder(e, sum)) {
+    if (sum(x)) return std::nullopt;
+    if (arena.IsAttr(x)) names.push_back(arena.AttrName(arena.AttrOf(x)));
   }
   return universe->MakeSet(names);
 }

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "util/failpoint.h"
@@ -35,53 +34,39 @@ PdImplicationEngine::PdImplicationEngine(const ExprArena* arena,
   for (const Pd& pd : constraints) AddConstraint(pd);
 }
 
-std::size_t PdImplicationEngine::CountNewVertices(ExprId e,
-                                                  std::set<ExprId>* seen) const {
-  if (vertex_of_.count(e) || seen->count(e)) return 0;
-  seen->insert(e);
-  std::size_t count = 1;
-  if (!arena_->IsAttr(e)) {
-    count += CountNewVertices(arena_->LhsOf(e), seen);
-    count += CountNewVertices(arena_->RhsOf(e), seen);
-  }
-  return count;
-}
-
 Status PdImplicationEngine::CheckVertexBudget(std::span<const ExprId> exprs,
                                               const ExecContext& ctx) const {
   if (ctx.max_vertices() == 0) return Status::OK();
-  std::set<ExprId> seen;
+  auto in_v = [this](ExprId e) { return vertex_of_.contains(e); };
   std::size_t added = 0;
-  for (ExprId e : exprs) added += CountNewVertices(e, &seen);
+  for (ExprId e : arena_->PostOrder(exprs, in_v)) added += !in_v(e);
   return ctx.CheckVertices(vertices_.size() + added);
 }
 
-void PdImplicationEngine::AddVertex(ExprId e) {
-  if (vertex_of_.count(e)) return;
-  // Children first so child indices exist.
-  if (!arena_->IsAttr(e)) {
-    AddVertex(arena_->LhsOf(e));
-    AddVertex(arena_->RhsOf(e));
+void PdImplicationEngine::AddVertices(std::span<const ExprId> exprs) {
+  // Children first, so child indices exist; the walk stops at V.
+  for (ExprId e : arena_->PostOrder(
+           exprs, [this](ExprId x) { return vertex_of_.contains(x); })) {
+    const uint32_t idx = static_cast<uint32_t>(vertices_.size());
+    if (!vertex_of_.try_emplace(e, idx).second) continue;  // already in V
+    vertices_.push_back(e);
+    kind_.push_back(arena_->KindOf(e));
+    parents_.emplace_back();
+    if (arena_->IsAttr(e)) {
+      lhs_.push_back(kNoVertex);
+      rhs_.push_back(kNoVertex);
+    } else {
+      uint32_t l = vertex_of_.at(arena_->LhsOf(e));
+      uint32_t r = vertex_of_.at(arena_->RhsOf(e));
+      lhs_.push_back(l);
+      rhs_.push_back(r);
+      // Children are already interned (smaller indices), so the parent
+      // index is complete before any closure ever runs.
+      parents_[l].emplace_back(idx, r);
+      if (r != l) parents_[r].emplace_back(idx, l);
+    }
+    closure_valid_ = false;
   }
-  uint32_t idx = static_cast<uint32_t>(vertices_.size());
-  vertices_.push_back(e);
-  vertex_of_.emplace(e, idx);
-  kind_.push_back(arena_->KindOf(e));
-  parents_.emplace_back();
-  if (arena_->IsAttr(e)) {
-    lhs_.push_back(kNoVertex);
-    rhs_.push_back(kNoVertex);
-  } else {
-    uint32_t l = vertex_of_.at(arena_->LhsOf(e));
-    uint32_t r = vertex_of_.at(arena_->RhsOf(e));
-    lhs_.push_back(l);
-    rhs_.push_back(r);
-    // Children are already interned (smaller indices), so the parent
-    // index is complete before any closure ever runs.
-    parents_[l].emplace_back(idx, r);
-    if (r != l) parents_[r].emplace_back(idx, l);
-  }
-  closure_valid_ = false;
 }
 
 void PdImplicationEngine::TrySetArc(uint32_t i, uint32_t m) {
@@ -326,7 +311,7 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
   DynamicBitset scratch(n);
   DynamicBitset gained(n);
   DynamicBitset pushed(n);
-  // Descending index order: AddVertex interns children before parents and
+  // Descending index order: AddVertices interns children before parents and
   // theories tend to be written low-to-high, so high rows settle first
   // and most consumptions below hit the settled-source fast path.
   for (std::size_t w = worklist.size(); w-- > 0;) {
@@ -613,7 +598,7 @@ Status PdImplicationEngine::Prepare(const std::vector<ExprId>& exprs,
   // exactly as it was.
   PSEM_RETURN_IF_ERROR(CheckVertexBudget(exprs, ctx));
   PSEM_RETURN_IF_ERROR(ctx.Check());
-  for (ExprId e : exprs) AddVertex(e);
+  AddVertices(exprs);
   if (!closure_valid_) PSEM_RETURN_IF_ERROR(ComputeClosure(ctx));
   return Status::OK();
 }
@@ -624,8 +609,7 @@ bool PdImplicationEngine::HasConstraint(const Pd& pd) const {
 
 void PdImplicationEngine::AddConstraint(const Pd& pd) {
   if (!constraint_index_.insert(pd).second) return;
-  AddVertex(pd.lhs);
-  AddVertex(pd.rhs);
+  AddVertices(std::array{pd.lhs, pd.rhs});
   constraints_.push_back(pd);
   closure_valid_ = false;
 }
@@ -677,13 +661,11 @@ Status PdImplicationEngine::RestoreEngineState(
   if (audit != state.arc_count) {
     return Status::DataLoss("closure state arc count mismatch");
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    AddVertex(vertex_order[i]);
-    // AddVertex assigns index i exactly when the order is children-first
-    // and duplicate-free; anything else is a malformed snapshot.
-    if (vertices_.size() != i + 1 || vertices_[i] != vertex_order[i]) {
-      return Status::DataLoss("snapshot vertex order is not children-first");
-    }
+  // Interning keeps the order exactly when it is children-first and
+  // duplicate-free; anything else is a malformed snapshot.
+  AddVertices(vertex_order);
+  if (vertices_ != vertex_order) {
+    return Status::DataLoss("snapshot vertex order is not children-first");
   }
   for (const Pd& pd : constraints) {
     if (!vertex_of_.count(pd.lhs) || !vertex_of_.count(pd.rhs)) {
@@ -794,8 +776,7 @@ std::vector<Result<bool>> PdImplicationEngine::BatchImplies(
       slots[i] = Result<bool>(st);
       continue;
     }
-    AddVertex(q.lhs);
-    AddVertex(q.rhs);
+    AddVertices(std::array{q.lhs, q.rhs});
     interned.push_back(i);
   }
   // Pass 3: one shared (incremental) closure, then bit tests. A closure

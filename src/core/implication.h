@@ -57,7 +57,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -231,9 +230,8 @@ class PdImplicationEngine {
                             EngineClosureState state);
 
  private:
-  void AddVertex(ExprId e);
-  // Number of subexpressions of `e` not yet in V and not yet in `seen`.
-  std::size_t CountNewVertices(ExprId e, std::set<ExprId>* seen) const;
+  // Interns every subexpression of `exprs` not yet in V, children first.
+  void AddVertices(std::span<const ExprId> exprs);
   // The vertex budget, enforced BEFORE V is mutated: kResourceExhausted
   // if interning `exprs` would push |V| past ctx's cap.
   Status CheckVertexBudget(std::span<const ExprId> exprs,

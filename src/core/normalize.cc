@@ -15,47 +15,49 @@ class Flattener {
   Flattener(const ExprArena& arena, Universe* universe, ExprArena* out_arena)
       : arena_(arena), universe_(universe), out_arena_(out_arena) {}
 
-  /// Attribute (extended-universe id) denoting subexpression `e`.
-  RelAttrId AttrFor(ExprId e) {
-    auto it = memo_.find(e);
-    if (it != memo_.end()) return it->second;
-    RelAttrId result;
-    switch (arena_.KindOf(e)) {
-      case ExprKind::kAttr:
-        result = universe_->Intern(arena_.AttrName(arena_.AttrOf(e)));
-        break;
-      case ExprKind::kProduct: {
-        RelAttrId a = AttrFor(arena_.LhsOf(e));
-        RelAttrId b = AttrFor(arena_.RhsOf(e));
-        result = Fresh();
-        // C = A * B: C -> A, C -> B (C <= A*B) and AB -> C (A*B <= C).
-        AddFd({result}, {a});
-        AddFd({result}, {b});
-        AddFd({a, b}, {result});
-        // Constraint arcs for the ALG closure (definitional equality).
-        ExprId ea = out_arena_->Attr(universe_->NameOf(a));
-        ExprId eb = out_arena_->Attr(universe_->NameOf(b));
-        ExprId ec = out_arena_->Attr(universe_->NameOf(result));
-        closure_pds_.push_back(Pd::Eq(ec, out_arena_->Product(ea, eb)));
-        break;
+  /// Attribute (extended-universe id) denoting subexpression `root`.
+  RelAttrId AttrFor(ExprId root) {
+    auto known = [this](ExprId e) { return memo_.contains(e); };
+    for (ExprId e : arena_.PostOrder(root, known)) {
+      if (known(e)) continue;
+      RelAttrId result;
+      switch (arena_.KindOf(e)) {
+        case ExprKind::kAttr:
+          result = universe_->Intern(arena_.AttrName(arena_.AttrOf(e)));
+          break;
+        case ExprKind::kProduct: {
+          RelAttrId a = memo_.at(arena_.LhsOf(e));
+          RelAttrId b = memo_.at(arena_.RhsOf(e));
+          result = Fresh();
+          // C = A * B: C -> A, C -> B (C <= A*B) and AB -> C (A*B <= C).
+          AddFd({result}, {a});
+          AddFd({result}, {b});
+          AddFd({a, b}, {result});
+          // Constraint arcs for the ALG closure (definitional equality).
+          ExprId ea = out_arena_->Attr(universe_->NameOf(a));
+          ExprId eb = out_arena_->Attr(universe_->NameOf(b));
+          ExprId ec = out_arena_->Attr(universe_->NameOf(result));
+          closure_pds_.push_back(Pd::Eq(ec, out_arena_->Product(ea, eb)));
+          break;
+        }
+        case ExprKind::kSum: {
+          RelAttrId a = memo_.at(arena_.LhsOf(e));
+          RelAttrId b = memo_.at(arena_.RhsOf(e));
+          result = Fresh();
+          // C = A + B: A -> C, B -> C (A + B <= C) plus residual C <= A+B.
+          AddFd({a}, {result});
+          AddFd({b}, {result});
+          sum_uppers_.push_back(SumUpperConstraint{result, a, b});
+          ExprId ea = out_arena_->Attr(universe_->NameOf(a));
+          ExprId eb = out_arena_->Attr(universe_->NameOf(b));
+          ExprId ec = out_arena_->Attr(universe_->NameOf(result));
+          closure_pds_.push_back(Pd::Eq(ec, out_arena_->Sum(ea, eb)));
+          break;
+        }
       }
-      case ExprKind::kSum: {
-        RelAttrId a = AttrFor(arena_.LhsOf(e));
-        RelAttrId b = AttrFor(arena_.RhsOf(e));
-        result = Fresh();
-        // C = A + B: A -> C, B -> C (A + B <= C) plus residual C <= A+B.
-        AddFd({a}, {result});
-        AddFd({b}, {result});
-        sum_uppers_.push_back(SumUpperConstraint{result, a, b});
-        ExprId ea = out_arena_->Attr(universe_->NameOf(a));
-        ExprId eb = out_arena_->Attr(universe_->NameOf(b));
-        ExprId ec = out_arena_->Attr(universe_->NameOf(result));
-        closure_pds_.push_back(Pd::Eq(ec, out_arena_->Sum(ea, eb)));
-        break;
-      }
+      memo_.emplace(e, result);
     }
-    memo_.emplace(e, result);
-    return result;
+    return memo_.at(root);
   }
 
   void AddEquality(RelAttrId x, RelAttrId y) {

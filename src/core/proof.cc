@@ -1,6 +1,7 @@
 #include "core/proof.h"
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <unordered_map>
 
@@ -15,20 +16,16 @@ inline uint64_t ArcKey(ExprId l, ExprId r) {
 ProvenanceEngine::ProvenanceEngine(const ExprArena* arena,
                                    std::vector<Pd> constraints)
     : arena_(arena), constraints_(std::move(constraints)) {
-  for (const Pd& pd : constraints_) {
-    AddVertex(pd.lhs);
-    AddVertex(pd.rhs);
-  }
+  for (const Pd& pd : constraints_) AddVertices(std::array{pd.lhs, pd.rhs});
 }
 
-void ProvenanceEngine::AddVertex(ExprId e) {
-  if (!in_v_.insert(e).second) return;
-  if (!arena_->IsAttr(e)) {
-    AddVertex(arena_->LhsOf(e));
-    AddVertex(arena_->RhsOf(e));
+void ProvenanceEngine::AddVertices(std::span<const ExprId> exprs) {
+  for (ExprId x : arena_->PostOrder(
+           exprs, [this](ExprId v) { return in_v_.contains(v); })) {
+    if (!in_v_.insert(x).second) continue;
+    vertices_.push_back(x);
+    saturated_ = false;
   }
-  vertices_.push_back(e);
-  saturated_ = false;
 }
 
 bool ProvenanceEngine::AddArc(ExprId l, ExprId r, ProofStep step) {
@@ -146,8 +143,7 @@ void ProvenanceEngine::Saturate() {
 }
 
 Result<Proof> ProvenanceEngine::ProveLeq(ExprId lhs, ExprId rhs) {
-  AddVertex(lhs);
-  AddVertex(rhs);
+  AddVertices(std::array{lhs, rhs});
   Saturate();
   auto it = arc_index_.find(ArcKey(lhs, rhs));
   if (it == arc_index_.end()) {

@@ -13,6 +13,7 @@
 #define PSEM_CORE_PROOF_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -80,7 +81,7 @@ class ProvenanceEngine {
 
  private:
   void Saturate();
-  void AddVertex(ExprId e);
+  void AddVertices(std::span<const ExprId> exprs);
   // Adds arc with provenance if new; returns true if added.
   bool AddArc(ExprId l, ExprId r, ProofStep step);
 

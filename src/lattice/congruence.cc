@@ -5,16 +5,16 @@
 namespace psem {
 
 void CongruenceClosure::Register(ExprId e) {
+  // Hash-consing interns operands first: no id below e exceeds e.
   while (classes_.size() <= e) {
     classes_.AddElement();
     is_registered_.push_back(false);
   }
-  if (is_registered_[e]) return;
-  is_registered_[e] = true;
-  registered_.push_back(e);
-  if (!arena_->IsAttr(e)) {
-    Register(arena_->LhsOf(e));
-    Register(arena_->RhsOf(e));
+  for (ExprId x : arena_->PostOrder(
+           e, [this](ExprId v) { return is_registered_[v]; })) {
+    if (is_registered_[x]) continue;
+    is_registered_[x] = true;
+    registered_.push_back(x);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "lattice/expr.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 
@@ -17,9 +18,12 @@ ExprId ExprArena::InternNode(ExprKind kind, AttrId attr, ExprId l, ExprId r) {
   node.attr = attr;
   node.lhs = l;
   node.rhs = r;
-  node.complexity = kind == ExprKind::kAttr
-                        ? 0
-                        : nodes_[l].complexity + nodes_[r].complexity + 1;
+  const uint64_t complexity =
+      kind == ExprKind::kAttr
+          ? 0
+          : uint64_t{nodes_[l].complexity} + nodes_[r].complexity + 1;
+  node.complexity =
+      static_cast<uint32_t>(std::min<uint64_t>(complexity, UINT32_MAX));
   ExprId id = static_cast<ExprId>(nodes_.size());
   nodes_.push_back(node);
   intern_.emplace(key, id);
@@ -213,32 +217,45 @@ Result<Pd> ExprArena::ParsePd(std::string_view text) {
   return Pd{lhs, rhs, is_equation};
 }
 
-void ExprArena::ToStringRec(ExprId id, bool parenthesize,
-                            std::string* out) const {
-  const Node& n = nodes_[id];
-  if (n.kind == ExprKind::kAttr) {
-    *out += attr_names_.NameOf(n.attr);
-    return;
-  }
-  // The parser reads '*' tighter than '+' and both left-associative, so a
-  // child needs parentheses when it is a sum under '*', or when it is the
-  // right operand of its own operator (A*(B*C), A+(B+C)): dropping those
-  // would re-parse as a different, left-nested tree.
-  const bool product = n.kind == ExprKind::kProduct;
-  auto needs_parens = [&](ExprId child, bool right) {
-    const ExprKind k = nodes_[child].kind;
-    return (product && k == ExprKind::kSum) || (right && k == n.kind);
-  };
-  if (parenthesize) *out += "(";
-  ToStringRec(n.lhs, needs_parens(n.lhs, /*right=*/false), out);
-  *out += product ? "*" : "+";
-  ToStringRec(n.rhs, needs_parens(n.rhs, /*right=*/true), out);
-  if (parenthesize) *out += ")";
-}
-
 std::string ExprArena::ToString(ExprId id) const {
+  // In-order print on an explicit stack of pending pieces: a node, with or
+  // without its own parentheses, or one character still to emit.
+  struct Piece {
+    ExprId id;  // kNoExpr: emit `text`
+    char text;
+    bool parens;
+  };
   std::string out;
-  ToStringRec(id, /*parenthesize=*/false, &out);
+  std::vector<Piece> pending{{id, 0, false}};
+  while (!pending.empty()) {
+    const Piece piece = pending.back();
+    pending.pop_back();
+    if (piece.id == kNoExpr) {
+      out += piece.text;
+      continue;
+    }
+    const Node& n = nodes_[piece.id];
+    if (n.kind == ExprKind::kAttr) {
+      out += attr_names_.NameOf(n.attr);
+      continue;
+    }
+    // The parser reads '*' tighter than '+' and both left-associative, so
+    // a child needs parentheses when it is a sum under '*', or when it is
+    // the right operand of its own operator (A*(B*C), A+(B+C)): dropping
+    // those would re-parse as a different, left-nested tree.
+    const bool product = n.kind == ExprKind::kProduct;
+    auto needs_parens = [&](ExprId child, bool right) {
+      const ExprKind k = nodes_[child].kind;
+      return (product && k == ExprKind::kSum) || (right && k == n.kind);
+    };
+    if (piece.parens) {
+      out += '(';
+      pending.push_back({kNoExpr, ')', false});
+    }
+    pending.push_back({n.rhs, 0, needs_parens(n.rhs, /*right=*/true)});
+    pending.push_back({kNoExpr, product ? '*' : '+', false});
+    pending.push_back({n.lhs, 0, needs_parens(n.lhs, /*right=*/false)});
+  }
   return out;
 }
 
@@ -249,29 +266,20 @@ std::string ExprArena::ToString(const Pd& pd) const {
   return out;
 }
 
-void ExprArena::CollectSubexprs(ExprId id, std::set<ExprId>* seen,
-                                std::vector<ExprId>* out) const {
-  if (seen->count(id)) return;
-  const Node& n = nodes_[id];
-  if (n.kind != ExprKind::kAttr) {
-    CollectSubexprs(n.lhs, seen, out);
-    CollectSubexprs(n.rhs, seen, out);
+void ExprArena::CollectAttrs(ExprId id, std::set<AttrId>* out) const {
+  for (ExprId e : PostOrder(id)) {
+    if (IsAttr(e)) out->insert(AttrOf(e));
   }
-  if (seen->insert(id).second) out->push_back(id);
 }
 
 ExprId DualExpr(ExprArena* arena, ExprId e) {
-  switch (arena->KindOf(e)) {
-    case ExprKind::kAttr:
-      return e;
-    case ExprKind::kProduct:
-      return arena->Sum(DualExpr(arena, arena->LhsOf(e)),
-                        DualExpr(arena, arena->RhsOf(e)));
-    case ExprKind::kSum:
-      return arena->Product(DualExpr(arena, arena->LhsOf(e)),
-                            DualExpr(arena, arena->RhsOf(e)));
-  }
-  return e;
+  Result<ExprId> dual = FoldPostOrder<ExprId>(
+      *arena, e, [](ExprId leaf) -> Result<ExprId> { return leaf; },
+      [arena](ExprId node, ExprId l, ExprId r) {
+        return arena->KindOf(node) == ExprKind::kProduct ? arena->Sum(l, r)
+                                                         : arena->Product(l, r);
+      });
+  return *dual;
 }
 
 Pd DualPd(ExprArena* arena, const Pd& pd) {
@@ -280,16 +288,6 @@ Pd DualPd(ExprArena* arena, const Pd& pd) {
   // Duality reverses the order: (p <= q)^d is q^d <= p^d.
   if (pd.is_equation) return Pd::Eq(l, r);
   return Pd::Leq(r, l);
-}
-
-void ExprArena::CollectAttrs(ExprId id, std::set<AttrId>* out) const {
-  const Node& n = nodes_[id];
-  if (n.kind == ExprKind::kAttr) {
-    out->insert(n.attr);
-  } else {
-    CollectAttrs(n.lhs, out);
-    CollectAttrs(n.rhs, out);
-  }
 }
 
 }  // namespace psem

@@ -124,20 +124,35 @@ class ExprArena {
   ExprId RhsOf(ExprId id) const { return nodes_[id].rhs; }
 
   /// Complexity in the sense of Theorem 8's proof: the number of operator
-  /// instances in the expression tree.
+  /// instances in the expression tree, saturating at UINT32_MAX (a DAG
+  /// squared 32 times has more tree nodes than that).
   uint32_t Complexity(ExprId id) const { return nodes_[id].complexity; }
 
-  /// Number of nodes in the expression tree (attrs + operators).
-  uint32_t TreeSize(ExprId id) const { return 2 * nodes_[id].complexity + 1; }
+  /// Number of nodes in the expression tree (attrs + operators), saturating
+  /// at UINT32_MAX like Complexity.
+  uint32_t TreeSize(ExprId id) const {
+    const uint32_t c = nodes_[id].complexity;
+    return c > (UINT32_MAX - 1) / 2 ? UINT32_MAX : 2 * c + 1;
+  }
 
   const StringInterner& attr_names() const { return attr_names_; }
   std::size_t num_attrs() const { return attr_names_.size(); }
   const std::string& AttrName(AttrId a) const { return attr_names_.NameOf(a); }
 
-  /// Appends to `out` every distinct subexpression of `id` (including `id`
-  /// itself) that is not already present in `seen`; updates `seen`.
-  void CollectSubexprs(ExprId id, std::set<ExprId>* seen,
-                       std::vector<ExprId>* out) const;
+  /// The library's one children-first walk: each distinct subexpression
+  /// of `roots`, once, in the order a left-to-right recursion finishes
+  /// them (lhs subtree, rhs subtree, node; roots in turn). A node `stop`
+  /// accepts is yielded as a leaf, not descended into; `stop` must not
+  /// start another walk. Pending nodes live on a heap stack, so height is
+  /// never native stack depth, and a shared DAG costs its distinct nodes,
+  /// not its tree size.
+  template <typename Stop = bool (*)(ExprId)>
+  std::vector<ExprId> PostOrder(std::span<const ExprId> roots,
+                                Stop stop = Never) const;
+  template <typename Stop = bool (*)(ExprId)>
+  std::vector<ExprId> PostOrder(ExprId root, Stop stop = Never) const {
+    return PostOrder(std::span<const ExprId>(&root, 1), stop);
+  }
 
   /// The set of attribute ids occurring in `id`.
   void CollectAttrs(ExprId id, std::set<AttrId>* out) const;
@@ -152,7 +167,7 @@ class ExprArena {
   };
 
   ExprId InternNode(ExprKind kind, AttrId attr, ExprId l, ExprId r);
-  void ToStringRec(ExprId id, bool parenthesize, std::string* out) const;
+  static bool Never(ExprId) { return false; }
 
   std::vector<Node> nodes_;
   // key: kind in top 2 bits semantics folded via tuple hash below.
@@ -175,6 +190,81 @@ class ExprArena {
   StringInterner attr_names_;
   std::vector<ExprId> attr_expr_;  // attr id -> expr id of its leaf node
 };
+
+template <typename Stop>
+std::vector<ExprId> ExprArena::PostOrder(std::span<const ExprId> roots,
+                                         Stop stop) const {
+  // An open operator node; the child it enters next: 0 lhs, 1 rhs, 2 none.
+  struct Frame {
+    ExprId id;
+    uint32_t next;
+  };
+  // Per-thread scratch kept across calls, clean on return: entry marks
+  // indexed by ExprId, and the frame stack. Hence `stop` must not walk.
+  thread_local std::vector<uint8_t> marks;
+  thread_local std::vector<Frame> frames;
+  std::vector<uint8_t>& entered = marks;
+  std::vector<Frame>& open = frames;
+  if (entered.size() < nodes_.size()) entered.resize(nodes_.size());
+  std::vector<ExprId> order;
+  order.reserve(roots.size());
+  auto enter = [&](ExprId id) {
+    if (entered[id]) return;
+    entered[id] = 1;
+    if (stop(id) || IsAttr(id)) {
+      order.push_back(id);
+    } else {
+      open.push_back({id, 0});
+    }
+  };
+  for (ExprId root : roots) {
+    enter(root);
+    while (!open.empty()) {
+      Frame& f = open.back();
+      if (f.next == 2) {
+        order.push_back(f.id);
+        open.pop_back();
+        continue;
+      }
+      const Node& n = nodes_[f.id];
+      enter(f.next++ == 0 ? n.lhs : n.rhs);  // may reallocate `open`
+    }
+  }
+  for (ExprId id : order) entered[id] = 0;
+  return order;
+}
+
+/// Evaluates `root` bottom-up over its PostOrder: each distinct
+/// subexpression once, an attribute by `leaf(e)` (a Result<T>), an
+/// operator node by `op(e, lhs_value, rhs_value)` (a T). A value is dropped
+/// once its last parent has read it, so a chain of any height keeps O(1)
+/// values live. Returns the first failing leaf's Status.
+template <typename T, typename Leaf, typename Op>
+Result<T> FoldPostOrder(const ExprArena& arena, ExprId root, Leaf leaf,
+                        Op op) {
+  const std::vector<ExprId> order = arena.PostOrder(root);
+  // Reads still due per value: one per parent edge, one for the caller.
+  std::unordered_map<ExprId, uint32_t> reads{{root, 1}};
+  for (ExprId e : order) {
+    if (arena.IsAttr(e)) continue;
+    ++reads[arena.LhsOf(e)];
+    ++reads[arena.RhsOf(e)];
+  }
+  std::unordered_map<ExprId, T> vals;
+  for (ExprId e : order) {
+    if (arena.IsAttr(e)) {
+      PSEM_ASSIGN_OR_RETURN(T v, leaf(e));
+      vals.emplace(e, std::move(v));
+      continue;
+    }
+    const ExprId l = arena.LhsOf(e), r = arena.RhsOf(e);
+    vals.emplace(e, op(e, vals.at(l), vals.at(r)));
+    for (ExprId child : {l, r}) {
+      if (--reads[child] == 0) vals.erase(child);
+    }
+  }
+  return std::move(vals.at(root));
+}
 
 /// The dual of an expression: swap every * with + (and vice versa). The
 /// duality principle of lattice theory — used throughout the paper, e.g.

@@ -116,31 +116,20 @@ std::vector<LatticeElem> FiniteLattice::CoversOf(LatticeElem a) const {
 Result<LatticeElem> FiniteLattice::Eval(
     const ExprArena& arena, ExprId e,
     const std::vector<LatticeElem>& assignment) const {
-  switch (arena.KindOf(e)) {
-    case ExprKind::kAttr: {
-      AttrId a = arena.AttrOf(e);
-      if (a >= assignment.size() || assignment[a] == kNoElem) {
-        return Status::NotFound("attribute '" + arena.AttrName(a) +
-                                "' has no lattice constant assigned");
-      }
-      return assignment[a];
-    }
-    case ExprKind::kProduct: {
-      PSEM_ASSIGN_OR_RETURN(LatticeElem l,
-                            Eval(arena, arena.LhsOf(e), assignment));
-      PSEM_ASSIGN_OR_RETURN(LatticeElem r,
-                            Eval(arena, arena.RhsOf(e), assignment));
-      return Meet(l, r);
-    }
-    case ExprKind::kSum: {
-      PSEM_ASSIGN_OR_RETURN(LatticeElem l,
-                            Eval(arena, arena.LhsOf(e), assignment));
-      PSEM_ASSIGN_OR_RETURN(LatticeElem r,
-                            Eval(arena, arena.RhsOf(e), assignment));
-      return Join(l, r);
-    }
-  }
-  return Status::Internal("bad expression kind");
+  return FoldPostOrder<LatticeElem>(
+      arena, e,
+      [&](ExprId leaf) -> Result<LatticeElem> {
+        AttrId a = arena.AttrOf(leaf);
+        if (a >= assignment.size() || assignment[a] == kNoElem) {
+          return Status::NotFound("attribute '" + arena.AttrName(a) +
+                                  "' has no lattice constant assigned");
+        }
+        return assignment[a];
+      },
+      [&](ExprId node, LatticeElem l, LatticeElem r) {
+        return arena.KindOf(node) == ExprKind::kProduct ? Meet(l, r)
+                                                        : Join(l, r);
+      });
 }
 
 Result<bool> FiniteLattice::Satisfies(

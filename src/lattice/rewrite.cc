@@ -25,12 +25,12 @@ void RootRewrites(ExprArena* arena, ExprId e, const std::vector<Pd>& equations,
     }
   }
   // Rule 4: x = x*x (the growing direction).
-  if (arena->TreeSize(e) * 2 + 1 <= max_size) {
+  if (uint64_t{arena->TreeSize(e)} * 2 + 1 <= max_size) {
     out->push_back({arena->Product(e, e), "expand-product"});
   }
   // Rules 5/6: x <= x+y, x <= y+x.
   for (ExprId y : pad_pool) {
-    if (arena->TreeSize(e) + arena->TreeSize(y) + 1 <= max_size) {
+    if (uint64_t{arena->TreeSize(e)} + arena->TreeSize(y) + 1 <= max_size) {
       out->push_back({arena->Sum(e, y), "pad-sum-right"});
       out->push_back({arena->Sum(y, e), "pad-sum-left"});
     }
@@ -96,14 +96,14 @@ Result<RewriteSequence> FindRewriteSequence(ExprArena* arena, ExprId from,
                                             std::size_t max_states) {
   // Pad pool: distinct subexpressions of E, from, to (the lemma's proof
   // shows these suffice for the y's of rules 5/6).
-  std::set<ExprId> seen;
-  std::vector<ExprId> pool;
+  std::vector<ExprId> roots;
   for (const Pd& pd : equations) {
-    arena->CollectSubexprs(pd.lhs, &seen, &pool);
-    arena->CollectSubexprs(pd.rhs, &seen, &pool);
+    roots.push_back(pd.lhs);
+    roots.push_back(pd.rhs);
   }
-  arena->CollectSubexprs(from, &seen, &pool);
-  arena->CollectSubexprs(to, &seen, &pool);
+  roots.push_back(from);
+  roots.push_back(to);
+  const std::vector<ExprId> pool = arena->PostOrder(roots);
 
   struct Visit {
     ExprId parent;

@@ -6,14 +6,14 @@ namespace psem {
 
 namespace {
 
-// Flattens a maximal same-operator spine into its operand list.
+// Flattens a maximal same-operator spine into its distinct operands, in
+// left-to-right order of first occurrence. (A repeated operand is dropped
+// below anyway: exact duplicates keep their first occurrence.)
 void FlattenOperands(const ExprArena& arena, ExprId e, ExprKind op,
                      std::vector<ExprId>* out) {
-  if (arena.KindOf(e) == op) {
-    FlattenOperands(arena, arena.LhsOf(e), op, out);
-    FlattenOperands(arena, arena.RhsOf(e), op, out);
-  } else {
-    out->push_back(e);
+  auto operand = [&](ExprId x) { return arena.KindOf(x) != op; };
+  for (ExprId x : arena.PostOrder(e, operand)) {
+    if (operand(x)) out->push_back(x);
   }
 }
 

@@ -1,6 +1,6 @@
 #include "lattice/whitman.h"
 
-#include <cassert>
+#include <algorithm>
 #include <vector>
 
 namespace psem {
@@ -101,50 +101,73 @@ struct Frame {
   uint8_t next_member;  // index of the member to evaluate next
 };
 
-}  // namespace
-
-// Memoized recursion over the CallList dispatch. Recursion depth is the
-// |p|+|q| descent, so CheckDepth bounds the native stack; the memo only
-// ever receives fully decided subproblems, so an aborted query leaves it
-// sound and the decider reusable.
-Status WhitmanMemo::LeqImpl(ExprId p, ExprId q, uint64_t depth,
-                            const ExecContext& ctx, uint64_t* calls,
-                            bool* out) {
-  uint64_t key = PairKey(p, q);
-  if (auto it = memo_.find(key); it != memo_.end()) {
-    *out = it->second;
-    return Status::OK();
-  }
-  PSEM_RETURN_IF_ERROR(ctx.CheckDepth(depth));
-  if ((++*calls % kWhitmanCheckStride) == 0) PSEM_RETURN_IF_ERROR(ctx.Check());
-
-  CallList c = MembersOf(*arena_, p, q);
-  bool res;
-  if (c.count == 0) {
-    res = c.leaf_value;
-  } else {
-    res = c.is_and;  // identity element of the connective
-    for (uint8_t i = 0; i < c.count; ++i) {
-      bool sub = false;
-      PSEM_RETURN_IF_ERROR(
-          LeqImpl(c.members[i].p, c.members[i].q, depth + 1, ctx, calls, &sub));
-      res = sub;
-      if (c.is_and ? !sub : sub) break;  // connective decided
+// Both deciders: the ID-rule recursion as a loop over a heap stack of
+// frames, one per live subproblem (what CheckDepth counts). With a memo, a
+// decided subproblem is answered instead of pushed, and each frame's
+// verdict is stored as it pops: only decided verdicts, so an aborted run
+// leaves the memo sound and the decider reusable.
+Result<bool> Decide(const ExprArena& a, ExprId p, ExprId q,
+                    const ExecContext& ctx,
+                    std::unordered_map<uint64_t, bool>* memo,
+                    WhitmanIterativeStats* stats) {
+  // Per-thread scratch kept across calls; a trip leaves frames behind.
+  thread_local std::vector<Frame> frames;
+  std::vector<Frame>& stack = frames;
+  stack.clear();
+  std::size_t peak = 0, calls = 0;
+  bool ret = false;
+  bool have_return = false;
+  Member next{p, q};  // the subproblem to open: a memo hit or a new frame
+  for (bool open = true; open;) {
+    if (memo != nullptr) {
+      if (auto it = memo->find(PairKey(next.p, next.q)); it != memo->end()) {
+        ret = it->second;
+        have_return = true;
+      }
+    }
+    if (!have_return) {
+      stack.push_back({next.p, next.q, 0});
+      ++calls;
+      peak = std::max(peak, stack.size());
+      PSEM_RETURN_IF_ERROR(ctx.CheckDepth(stack.size()));
+      if ((calls % kWhitmanCheckStride) == 0) PSEM_RETURN_IF_ERROR(ctx.Check());
+    }
+    // Pop every decided frame: a leaf, a decided connective, or one whose
+    // members are all evaluated — then the last member's value IS the
+    // frame's value (AND with all-true so far, OR with all-false so far).
+    // The first undecided frame names the next subproblem.
+    open = false;
+    while (!stack.empty() && !open) {
+      Frame& f = stack.back();
+      CallList c = MembersOf(a, f.p, f.q);
+      if (c.count == 0) {
+        ret = c.leaf_value;
+      } else if (!have_return ||
+                 !((c.is_and ? !ret : ret) || f.next_member >= c.count)) {
+        next = c.members[f.next_member++];
+        have_return = false;
+        open = true;
+        continue;
+      }
+      if (memo != nullptr) memo->emplace(PairKey(f.p, f.q), ret);
+      stack.pop_back();
+      have_return = true;
     }
   }
-  memo_.emplace(key, res);
-  *out = res;
-  return Status::OK();
+  if (stats != nullptr) {
+    stats->peak_stack_depth = std::max(stats->peak_stack_depth, peak);
+    stats->total_calls += calls;
+  }
+  return ret;
 }
+
+}  // namespace
 
 bool WhitmanMemo::Leq(ExprId p, ExprId q) { return LeqChecked(p, q).value(); }
 
 Result<bool> WhitmanMemo::LeqChecked(ExprId p, ExprId q,
                                      const ExecContext& ctx) {
-  uint64_t calls = 0;
-  bool out = false;
-  PSEM_RETURN_IF_ERROR(LeqImpl(p, q, 1, ctx, &calls, &out));
-  return out;
+  return Decide(*arena_, p, q, ctx, &memo_, nullptr);
 }
 
 Result<bool> WhitmanMemo::EqChecked(ExprId p, ExprId q,
@@ -162,46 +185,7 @@ bool WhitmanIterative::Leq(ExprId p, ExprId q,
 Result<bool> WhitmanIterative::LeqChecked(ExprId p, ExprId q,
                                           const ExecContext& ctx,
                                           WhitmanIterativeStats* stats) const {
-  const ExprArena& a = *arena_;
-  std::vector<Frame> stack;
-  stack.push_back({p, q, 0});
-  std::size_t peak = 1, calls = 1;
-  bool ret = false;
-  bool have_return = false;
-
-  while (!stack.empty()) {
-    Frame& f = stack.back();
-    CallList c = MembersOf(a, f.p, f.q);
-    if (c.count == 0) {
-      ret = c.leaf_value;
-      have_return = true;
-      stack.pop_back();
-      continue;
-    }
-    if (have_return) {
-      bool short_circuit = c.is_and ? !ret : ret;
-      if (short_circuit || f.next_member >= c.count) {
-        // Either the connective is decided, or every member has been
-        // evaluated — in that case the last child's value IS the frame's
-        // value (AND with all-true so far, OR with all-false so far).
-        stack.pop_back();
-        continue;  // `ret` propagates unchanged, have_return stays true
-      }
-      have_return = false;  // descend into the next member
-    }
-    Member m = c.members[f.next_member++];
-    stack.push_back({m.p, m.q, 0});
-    ++calls;
-    peak = std::max(peak, stack.size());
-    PSEM_RETURN_IF_ERROR(ctx.CheckDepth(stack.size()));
-    if ((calls % kWhitmanCheckStride) == 0) PSEM_RETURN_IF_ERROR(ctx.Check());
-  }
-  if (stats != nullptr) {
-    stats->peak_stack_depth = std::max(stats->peak_stack_depth, peak);
-    stats->total_calls += calls;
-  }
-  assert(have_return);
-  return ret;
+  return Decide(*arena_, p, q, ctx, nullptr, stats);
 }
 
 Result<bool> WhitmanIterative::EqChecked(ExprId p, ExprId q,

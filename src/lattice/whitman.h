@@ -5,24 +5,27 @@
 // the E = {} special case of PD implication, solvable in logarithmic space
 // (Theorem 10).
 //
-// Two implementations are provided, both driven by one case dispatch
-// (the rule cases of Section 5.3):
-//  * WhitmanMemo      — memoized recursion, O(|p| * |q|) time/space; the
+// Both deciders run one loop over the rule cases of Section 5.3: an
+// explicit stack of (p, q, next-member) frames, one small frame per level
+// of the ID-rule recursion (the first observation in the proof of Theorem
+// 10), so expression height is heap, never native stack. They differ only
+// in whether the loop gets a memo:
+//  * WhitmanMemo      — a subproblem already decided is answered from the
+//                       memo instead of a frame, and every frame's verdict
+//                       is stored as it pops: O(|p| * |q|) time/space; the
 //                       workhorse used by the rest of the library.
-//  * WhitmanIterative — explicit-stack evaluation that stores NO results of
-//                       intermediate recursive calls (the first observation
-//                       in the proof of Theorem 10); auxiliary state is one
-//                       small frame per recursion level. Peak depth is
-//                       reported so benchmarks can verify the O(tree depth)
-//                       space shape that underlies the logspace bound.
+//  * WhitmanIterative — stores NO results of intermediate calls; peak depth
+//                       is reported so benchmarks can verify the O(tree
+//                       depth) space shape behind the logspace bound.
 //
-// Each decider has one code path: the governed LeqChecked. Leq is
-// LeqChecked under ExecContext::Unbounded(), whose budgets never trip.
+// Each decider has one code path: the governed LeqChecked, whose depth
+// budget (ExecContext::CheckDepth) counts live frames. Leq is LeqChecked
+// under ExecContext::Unbounded(), whose budgets never trip.
 //
 // Thread compatibility: WhitmanMemo::Leq mutates the shared memo table, so
 // a WhitmanMemo instance must not be shared across threads without external
 // synchronization (use one instance per thread). WhitmanIterative::Leq is
-// const and keeps all state in locals, so a single const instance may be
+// const and keeps its state per thread, so a single const instance may be
 // shared freely by concurrent readers (over an arena that is no longer
 // being mutated) — it is the decider to share across caller threads.
 
@@ -56,8 +59,8 @@ class WhitmanMemo {
     return pd.is_equation ? Eq(pd.lhs, pd.rhs) : Leq(pd.lhs, pd.rhs);
   }
 
-  /// The decider. Observes ctx's recursion-depth budget, deadline, and
-  /// cancel token (polled every ~1024 calls). On a trip it
+  /// The decider. Observes ctx's depth budget (live frames), deadline,
+  /// and cancel token (polled every ~1024 frames). On a trip it
   /// returns the ctx Status; the memo keeps only the sub-verdicts that
   /// completed (all sound), so the decider stays fully usable.
   Result<bool> LeqChecked(ExprId p, ExprId q,
@@ -76,9 +79,6 @@ class WhitmanMemo {
   std::size_t memo_size() const { return memo_.size(); }
 
  private:
-  Status LeqImpl(ExprId p, ExprId q, uint64_t depth, const ExecContext& ctx,
-                 uint64_t* calls, bool* out);
-
   const ExprArena* arena_;
   std::unordered_map<uint64_t, bool> memo_;
 };
@@ -105,7 +105,8 @@ class WhitmanIterative {
 
   /// The decider. The live frame count is checked against ctx's
   /// depth budget on every push, and the deadline/cancel token every
-  /// ~1024 frames. All state is local, so an early stop loses nothing.
+  /// ~1024 frames. No state outlives the call, so an early stop loses
+  /// nothing.
   Result<bool> LeqChecked(ExprId p, ExprId q,
                           const ExecContext& ctx = ExecContext::Unbounded(),
                           WhitmanIterativeStats* stats = nullptr) const;

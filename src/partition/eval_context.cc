@@ -1,8 +1,5 @@
 #include "partition/eval_context.h"
 
-#include <algorithm>
-#include <set>
-#include <unordered_set>
 #include <utility>
 
 namespace psem {
@@ -70,32 +67,19 @@ Result<EvalContext::DenseRef> EvalContext::EvalDense(ExprId e,
     epoch_ = interp_.epoch();
     Flush();
   }
-  // Collect the subexpressions that actually need computing, stopping the
-  // descent at memo hits.
-  std::vector<ExprId> needed;
-  std::vector<ExprId> stack{e};
+  // Children first over the subexpressions that need computing; the walk
+  // stops at memo hits, whose values are held here for the call.
   std::unordered_map<ExprId, DenseRef> local;
-  std::unordered_set<ExprId> visited;
-  while (!stack.empty()) {
-    ExprId id = stack.back();
-    stack.pop_back();
-    if (!visited.insert(id).second) continue;
-    if (DenseRef hit = Lookup(id)) {
-      local.emplace(id, std::move(hit));
-      continue;
-    }
-    needed.push_back(id);
-    if (!arena_.IsAttr(id)) {
-      stack.push_back(arena_.LhsOf(id));
-      stack.push_back(arena_.RhsOf(id));
-    }
-  }
-  // Hash-consing appends operands before operators, so ascending ExprId
-  // order is a topological order of the DAG.
-  std::sort(needed.begin(), needed.end());
+  const std::vector<ExprId> order = arena_.PostOrder(e, [&](ExprId id) {
+    DenseRef hit = Lookup(id);
+    if (hit == nullptr) return false;
+    local.emplace(id, std::move(hit));
+    return true;
+  });
   const bool governed = !exec.unbounded();
   uint64_t call_nodes = 0;
-  for (ExprId id : needed) {
+  for (ExprId id : order) {
+    if (local.contains(id)) continue;  // a memo hit
     if (governed) {
       PSEM_RETURN_IF_ERROR(exec.Check());
       PSEM_RETURN_IF_ERROR(exec.CheckSolverNodes(++call_nodes));
@@ -141,35 +125,26 @@ Result<bool> EvalContext::Satisfies(const Pd& pd, const ExecContext& exec) {
 Result<DensePartition> EvalDenseAssignment(
     const ExprArena& arena, ExprId e,
     std::span<const DensePartition* const> attr_value, DenseOps* ops) {
-  // Per-call sharing: evaluate each distinct subexpression once, in
-  // ascending (topological) ExprId order.
-  std::set<ExprId> seen;
-  std::vector<ExprId> nodes;
-  arena.CollectSubexprs(e, &seen, &nodes);
-  std::sort(nodes.begin(), nodes.end());
-  std::unordered_map<ExprId, DensePartition> vals;
-  vals.reserve(nodes.size());
-  for (ExprId id : nodes) {
-    if (arena.IsAttr(id)) {
-      AttrId a = arena.AttrOf(id);
-      if (a >= attr_value.size() || attr_value[a] == nullptr) {
-        return Status::NotFound("attribute '" + arena.AttrName(a) +
-                                "' not assigned");
-      }
-      vals.emplace(id, *attr_value[a]);
-      continue;
-    }
-    const DensePartition& l = vals.at(arena.LhsOf(id));
-    const DensePartition& r = vals.at(arena.RhsOf(id));
-    DensePartition out;
-    if (arena.KindOf(id) == ExprKind::kProduct) {
-      ops->Product(l, r, &out);
-    } else {
-      ops->Sum(l, r, &out);
-    }
-    vals.emplace(id, std::move(out));
-  }
-  return std::move(vals.at(e));
+  // Per-call sharing: each distinct subexpression is evaluated once.
+  return FoldPostOrder<DensePartition>(
+      arena, e,
+      [&](ExprId leaf) -> Result<DensePartition> {
+        AttrId a = arena.AttrOf(leaf);
+        if (a >= attr_value.size() || attr_value[a] == nullptr) {
+          return Status::NotFound("attribute '" + arena.AttrName(a) +
+                                  "' not assigned");
+        }
+        return *attr_value[a];
+      },
+      [&](ExprId node, const DensePartition& l, const DensePartition& r) {
+        DensePartition out;
+        if (arena.KindOf(node) == ExprKind::kProduct) {
+          ops->Product(l, r, &out);
+        } else {
+          ops->Sum(l, r, &out);
+        }
+        return out;
+      });
 }
 
 }  // namespace psem

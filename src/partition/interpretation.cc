@@ -77,27 +77,21 @@ Result<std::string> PartitionInterpretation::SymbolOfBlock(
 
 Result<Partition> PartitionInterpretation::EvalSparse(const ExprArena& arena,
                                                       ExprId e) const {
-  switch (arena.KindOf(e)) {
-    case ExprKind::kAttr: {
-      const std::string& name = arena.AttrName(arena.AttrOf(e));
-      const AttrInterp* a = FindAttr(name);
-      if (a == nullptr) {
-        return Status::NotFound("attribute '" + name + "' not interpreted");
-      }
-      return a->atomic;
-    }
-    case ExprKind::kProduct: {
-      PSEM_ASSIGN_OR_RETURN(Partition l, EvalSparse(arena, arena.LhsOf(e)));
-      PSEM_ASSIGN_OR_RETURN(Partition r, EvalSparse(arena, arena.RhsOf(e)));
-      return Partition::Product(l, r);
-    }
-    case ExprKind::kSum: {
-      PSEM_ASSIGN_OR_RETURN(Partition l, EvalSparse(arena, arena.LhsOf(e)));
-      PSEM_ASSIGN_OR_RETURN(Partition r, EvalSparse(arena, arena.RhsOf(e)));
-      return Partition::Sum(l, r);
-    }
-  }
-  return Status::Internal("bad expression kind");
+  return FoldPostOrder<Partition>(
+      arena, e,
+      [&](ExprId leaf) -> Result<Partition> {
+        const std::string& name = arena.AttrName(arena.AttrOf(leaf));
+        const AttrInterp* a = FindAttr(name);
+        if (a == nullptr) {
+          return Status::NotFound("attribute '" + name + "' not interpreted");
+        }
+        return a->atomic;
+      },
+      [&](ExprId node, const Partition& l, const Partition& r) {
+        return arena.KindOf(node) == ExprKind::kProduct
+                   ? Partition::Product(l, r)
+                   : Partition::Sum(l, r);
+      });
 }
 
 Result<Partition> PartitionInterpretation::Eval(const ExprArena& arena,

@@ -68,9 +68,9 @@ class PartitionInterpretation {
   /// bit-identical to EvalSparse.
   Result<Partition> Eval(const ExprArena& arena, ExprId e) const;
 
-  /// The paper-literal recursive evaluation over the sparse Partition
-  /// API — the reference implementation for differential testing. No
-  /// memoization, no sharing.
+  /// The paper-literal evaluation over the sparse Partition API, once per
+  /// distinct subexpression (FoldPostOrder) — the reference implementation
+  /// for differential testing. No memo outlives the call.
   Result<Partition> EvalSparse(const ExprArena& arena, ExprId e) const;
 
   /// I |= e = e' (Definition 3): equal partitions over equal populations.

@@ -94,6 +94,23 @@ database:" "pd A <= B
 implies A <= C
 show" --snapshot-dir "$work/state"
 
+# A parenthesis-free product of 10^5 factors is a tree 10^5 high; accepting
+# it walks, prints and reads it without the native stack. The echoed PD is
+# ~380 KB, so only the exit code and the prefix are compared.
+factors=()
+for ((i = 0; i < 100000; i++)); do factors+=("A$((i % 50))"); done
+(
+  IFS='*'
+  printf 'pd %s <= A0\n' "${factors[*]}"
+) >"$work/deep"
+out=$("$cli" --deadline-ms 2000 "$work/deep" 2>"$work/stderr")
+code=$?
+if [[ "$code" != 0 || "$out" != "E1: A0*A1*"* ]]; then
+  echo "FAIL deep-product: exit code $code, stdout starts '${out:0:40}'"
+  head -c 2000 "$work/stderr"
+  failures=$((failures + 1))
+fi
+
 if ((failures > 0)); then
   echo "$failures check(s) failed"
   exit 1

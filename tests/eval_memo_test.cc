@@ -176,9 +176,9 @@ TEST(EvalMemoTest, LruEvictionKeepsResultsCorrect) {
   PartitionInterpretation interp;
   DefineAbc(&interp);
   ExprArena arena;
-  // A left-nested chain with more distinct nodes than the memo holds.
-  // EvalSparse would recurse once per link, so the reference for the
-  // root folds the same sparse operations link by link.
+  // A left-nested chain with more distinct nodes than the memo holds. The
+  // root is checked against EvalSparse and against the same sparse
+  // operations folded link by link.
   const Partition b = *interp.AtomicPartition("B");
   const Partition c = *interp.AtomicPartition("C");
   std::vector<ExprId> chain{arena.Attr("A")};
@@ -197,6 +197,7 @@ TEST(EvalMemoTest, LruEvictionKeepsResultsCorrect) {
   Result<Partition> got = ctx.Eval(chain.back());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, want);
+  EXPECT_EQ(*got, *interp.EvalSparse(arena, chain.back()));
   EXPECT_GT(ctx.stats().memo_evictions, 0u);
   EXPECT_LE(ctx.memo_size(), EvalContext::kMemoCapacity);
   // Still correct (and still bounded) on re-evaluation, also of the early

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <vector>
 
 #include "lattice/expr.h"
 
@@ -126,16 +128,45 @@ TEST(ExprPrinterTest, RightNestedSameOperatorRoundTrips) {
   }
 }
 
-TEST(ExprArenaTest, CollectSubexprs) {
+TEST(ExprArenaTest, PostOrderYieldsDistinctNodesChildrenFirst) {
   ExprArena a;
   ExprId e = *a.Parse("A*B + A*B");  // hash-consed: A*B appears once
-  std::set<ExprId> seen;
-  std::vector<ExprId> subs;
-  a.CollectSubexprs(e, &seen, &subs);
-  // A, B, A*B, (A*B)+(A*B) -> 4 distinct nodes.
-  EXPECT_EQ(subs.size(), 4u);
-  // Children precede parents.
-  EXPECT_EQ(subs.back(), e);
+  const ExprId attr_a = a.Attr("A"), attr_b = a.Attr("B");
+  const ExprId ab = a.Product(attr_a, attr_b);
+  // A, B, A*B, (A*B)+(A*B): 4 distinct nodes, lhs before rhs before node.
+  EXPECT_EQ(a.PostOrder(e), (std::vector<ExprId>{attr_a, attr_b, ab, e}));
+  // A later root yields only what the earlier roots did not.
+  ExprId f = *a.Parse("C*(A*B)");
+  const ExprId attr_c = a.Attr("C");
+  EXPECT_EQ(a.PostOrder(std::array{e, f}),
+            (std::vector<ExprId>{attr_a, attr_b, ab, e, attr_c, f}));
+  // A node `stop` accepts is yielded as a leaf: A and B are never reached.
+  EXPECT_EQ(a.PostOrder(f, [&](ExprId x) { return x == ab; }),
+            (std::vector<ExprId>{attr_c, ab, f}));
+}
+
+TEST(ExprArenaTest, ComplexityAndTreeSizeSaturateAndNeverShrink) {
+  // x_k is A squared k times: complexity 2^k - 1. Summed in 32 bits,
+  // x_31 * x_32 would get (2^31-1) + (2^32-1) + 1 mod 2^32 = 2^31 - 1,
+  // less than its own child.
+  ExprArena a;
+  std::vector<ExprId> x{a.Attr("A")};
+  for (int k = 1; k <= 40; ++k) x.push_back(a.Product(x.back(), x.back()));
+  EXPECT_EQ(a.Complexity(x[31]), (uint32_t{1} << 31) - 1);
+  EXPECT_EQ(a.TreeSize(x[30]), (uint32_t{1} << 31) - 1);
+  EXPECT_EQ(a.TreeSize(x[31]), UINT32_MAX);
+  EXPECT_EQ(a.Complexity(x[32]), UINT32_MAX);
+  std::vector<ExprId> parents(x.begin() + 1, x.end());
+  parents.push_back(a.Product(x[31], x[32]));
+  parents.push_back(a.Sum(x[32], x[40]));
+  for (ExprId p : parents) {
+    for (ExprId child : {a.LhsOf(p), a.RhsOf(p)}) {
+      EXPECT_GE(a.Complexity(p), a.Complexity(child)) << a.Complexity(p);
+      EXPECT_GE(a.TreeSize(p), a.TreeSize(child)) << a.TreeSize(p);
+    }
+  }
+  EXPECT_EQ(a.Complexity(parents[40]), UINT32_MAX);
+  EXPECT_EQ(a.TreeSize(parents[40]), UINT32_MAX);
 }
 
 TEST(ExprArenaTest, CollectAttrs) {

@@ -17,14 +17,14 @@ void ValidateSequence(ExprArena* arena, const std::vector<Pd>& e,
   ASSERT_FALSE(seq.steps.empty());
   EXPECT_EQ(seq.steps.front().expr, from);
   EXPECT_EQ(seq.steps.back().expr, to);
-  std::set<ExprId> seen;
-  std::vector<ExprId> pool;
+  std::vector<ExprId> roots;
   for (const Pd& pd : e) {
-    arena->CollectSubexprs(pd.lhs, &seen, &pool);
-    arena->CollectSubexprs(pd.rhs, &seen, &pool);
+    roots.push_back(pd.lhs);
+    roots.push_back(pd.rhs);
   }
-  arena->CollectSubexprs(from, &seen, &pool);
-  arena->CollectSubexprs(to, &seen, &pool);
+  roots.push_back(from);
+  roots.push_back(to);
+  const std::vector<ExprId> pool = arena->PostOrder(roots);
   for (std::size_t i = 1; i < seq.steps.size(); ++i) {
     auto options = OneStepRewrites(arena, seq.steps[i - 1].expr, e, pool,
                                    /*max_size=*/64);
