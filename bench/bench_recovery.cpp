@@ -9,6 +9,10 @@
 // same constant factor of each other (warm recovery must never be
 // asymptotically worse than recomputing).
 //
+// BM_Checkpoint times the write half: encoding the closed closure and
+// writing the snapshot that BM_WarmRecovery reads back (ungated, no
+// committed baseline yet).
+//
 // Workload: ChainTheory(n) (A0 <= A1 <= ... <= A(n-1)), whose closure
 // holds ~n^2/2 derived arcs — the worst case for recompute and the
 // densest realistic snapshot per vertex.
@@ -99,6 +103,33 @@ void BM_WarmRecovery(benchmark::State& state) {
 }
 BENCHMARK(BM_WarmRecovery)->Arg(1024)->Arg(4096)->Arg(8192)
     ->Unit(benchmark::kMillisecond)->Complexity();
+
+// The write half of the same snapshot: encode a closed chain engine and
+// write it atomically (temp file, fsync, rename, directory fsync). Wall
+// time, since the fsyncs wait on the device, not the CPU.
+void BM_Checkpoint(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const std::string path = SnapshotPathFor(n) + ".ckpt";
+  ExprArena arena;
+  std::vector<Pd> pds = ChainTheory(&arena, n);
+  const uint64_t fingerprint = TheoryFingerprint(arena, pds);
+  PdImplicationEngine engine(&arena, pds);
+  engine.Prepare({});
+  std::size_t bytes_written = 0;
+  for (auto _ : state) {
+    auto bytes = EncodeSnapshot(engine, fingerprint);
+    if (!bytes.ok() || !AtomicWriteFile(path, *bytes).ok()) {
+      state.SkipWithError("checkpoint failed");
+      break;
+    }
+    bytes_written = bytes->size();
+  }
+  std::remove(path.c_str());
+  state.counters["bytes"] = static_cast<double>(bytes_written);
+  state.SetComplexityN(n);
+}
+BENCHMARK(BM_Checkpoint)->Arg(1024)->Arg(4096)->Arg(8192)
+    ->Unit(benchmark::kMillisecond)->UseRealTime()->Complexity();
 
 // Journal-only recovery at the same sizes: replays every chain link
 // through the incremental AddConstraint path. Sits between cold and

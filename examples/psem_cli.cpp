@@ -106,15 +106,18 @@ struct Session {
   }
 
   // Adds a constraint to E (the journal fsync, if any, happens before it
-  // is applied). Returns its 1-based number in E — a duplicate keeps the
-  // number it was first given — or 0 after reporting an error.
+  // is applied). Returns its 1-based number in E — a new one is last, a
+  // duplicate keeps the number it was first given — or 0 after reporting
+  // an error. Only a duplicate pays a search of E.
   std::size_t AcceptPd(const Pd& pd) {
+    const bool duplicate = engine->engine().HasConstraint(pd);
     Status st = engine->AddPd(pd, Ctx());
     if (!st.ok()) {
       ShowStatusError(st);
       return 0;
     }
     const std::vector<Pd>& e = pds();
+    if (!duplicate) return e.size();
     return std::find(e.begin(), e.end(), pd) - e.begin() + 1;
   }
 

@@ -629,13 +629,13 @@ Status PdImplicationEngine::AddConstraint(const Pd& pd,
   return Status::OK();
 }
 
-Result<PdImplicationEngine::EngineClosureState>
-PdImplicationEngine::ExportClosureState() const {
+Result<std::span<const DynamicBitset>> PdImplicationEngine::ClosedRows()
+    const {
   if (!closure_valid_) {
     return Status::FailedPrecondition(
         "closure is not closed; Prepare the engine before exporting it");
   }
-  return EngineClosureState{up_, arc_count_};
+  return std::span<const DynamicBitset>(up_);
 }
 
 Status PdImplicationEngine::RestoreEngineState(
@@ -686,6 +686,8 @@ Status PdImplicationEngine::RestoreEngineState(
   DynamicBitset::OrTransposeInto(up_, &down_);
   seeded_vertices_ = n;
   closure_valid_ = true;
+  stats_.num_vertices = n;
+  stats_.num_arcs = arc_count_;
   return Status::OK();
 }
 

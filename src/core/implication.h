@@ -197,21 +197,18 @@ class PdImplicationEngine {
   /// reproduce for RestoreEngineState.
   const std::vector<ExprId>& vertices() const { return vertices_; }
 
-  /// A closed closure, detached from any particular process: one arc row
-  /// per vertex of V (in vertices() order, each |V| bits wide) and the
-  /// exact arc count, which restore audits against the rows' popcount.
-  /// By Lemma 9.2 the closed rows are the whole of what E implies over V,
-  /// so nothing of a half-finished closure is worth persisting; down_,
-  /// the frontier and the dirty worklist are derived or empty.
+  /// A view (valid until the engine next changes) of the closed arc rows,
+  /// one per vertex in vertices() order, each |V| bits wide: by Lemma 9.2
+  /// all of what E implies over V, and all a snapshot holds.
+  /// kFailedPrecondition unless the closure is current (Prepare first).
+  Result<std::span<const DynamicBitset>> ClosedRows() const;
+
+  /// Those rows detached from any process, with the exact arc count that
+  /// restore audits against their popcount: RestoreEngineState's input.
   struct EngineClosureState {
     std::vector<DynamicBitset> up;
     uint64_t arc_count = 0;
   };
-
-  /// Copies out the closure for snapshotting. kFailedPrecondition unless
-  /// the closure is current (call Prepare first): a snapshot only ever
-  /// holds a closed closure.
-  Result<EngineClosureState> ExportClosureState() const;
 
   /// Full restore for a freshly constructed engine (built with an empty
   /// constraint list), and the one entry point snapshot recovery needs.
@@ -222,7 +219,8 @@ class PdImplicationEngine {
   /// query-introduced vertices included), adds `constraints` to E through
   /// AddConstraint (so a repeated one is kept once), and installs the
   /// rows as a closed closure with every constraint planted, an empty
-  /// frontier and down_ rebuilt as their transpose. kDataLoss on
+  /// frontier and down_ rebuilt as their transpose; stats() then report
+  /// the restored |V| and arc count. kDataLoss on
   /// malformed input (the engine should then be discarded);
   /// kFailedPrecondition if the engine already has vertices.
   Status RestoreEngineState(const std::vector<ExprId>& vertex_order,

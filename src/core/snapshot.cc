@@ -1,5 +1,6 @@
 #include "core/snapshot.h"
 
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -53,8 +54,8 @@ uint64_t TheoryFingerprint(const ExprArena& arena,
 
 Result<std::string> EncodeSnapshot(const PdImplicationEngine& engine,
                                    uint64_t base_fingerprint) {
-  PSEM_ASSIGN_OR_RETURN(PdImplicationEngine::EngineClosureState state,
-                        engine.ExportClosureState());
+  PSEM_ASSIGN_OR_RETURN(std::span<const DynamicBitset> closed,
+                        engine.ClosedRows());
   const ExprArena& arena = engine.arena();
   const std::vector<ExprId>& vertices = engine.vertices();
 
@@ -100,26 +101,29 @@ Result<std::string> EncodeSnapshot(const PdImplicationEngine& engine,
     cons.U8(pd.is_equation ? kConsEquation : 0);
   }
 
-  // ROWS: the closed arc matrix, |V| rows of ⌈|V|/64⌉ words, row-major.
+  // ROWS: the closed arc matrix, |V| rows of ⌈|V|/64⌉ words, row-major;
+  // META's arc count is their popcount.
   const std::size_t words = WordsFor(vertices.size());
   ByteWriter rows;
-  for (const DynamicBitset& row : state.up) {
+  rows.Reserve(closed.size() * words * 8);
+  uint64_t arcs = 0;
+  for (const DynamicBitset& row : closed) {
     for (std::size_t k = 0; k < words; ++k) rows.U64(row.word(k));
+    arcs += row.Count();
   }
 
   ByteWriter meta;
   meta.U32(kSnapshotVersion);
   meta.U64(base_fingerprint);
-  meta.U64(state.arc_count);
+  meta.U64(arcs);
   meta.U64(vertices.size());
 
-  std::vector<Chunk> chunks;
-  chunks.push_back(Chunk{kTagMeta, meta.Take()});
-  chunks.push_back(Chunk{kTagAttrs, attrs.Take()});
-  chunks.push_back(Chunk{kTagVertices, vert.Take()});
-  chunks.push_back(Chunk{kTagConstraints, cons.Take()});
-  chunks.push_back(Chunk{kTagRows, rows.Take()});
-  return EncodeChunkContainer(kSnapshotVersion, chunks);
+  // DecodeSnapshot reads the chunks by position, in exactly this order.
+  return EncodeChunkContainer(
+      kSnapshotVersion,
+      {Chunk{kTagMeta, meta.data()}, Chunk{kTagAttrs, attrs.data()},
+       Chunk{kTagVertices, vert.data()}, Chunk{kTagConstraints, cons.data()},
+       Chunk{kTagRows, rows.data()}});
 }
 
 Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
@@ -134,27 +138,19 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
     return Status::DataLoss("unsupported snapshot version " +
                             std::to_string(container.version));
   }
-  const std::string* payloads[5] = {};
-  const uint32_t tags[5] = {kTagMeta, kTagAttrs, kTagVertices,
-                            kTagConstraints, kTagRows};
-  for (const Chunk& c : container.chunks) {
-    for (int t = 0; t < 5; ++t) {
-      if (c.tag != tags[t]) continue;
-      if (payloads[t] != nullptr) {
-        return Status::DataLoss("duplicate snapshot chunk");
-      }
-      payloads[t] = &c.payload;
-    }
-  }
-  for (int t = 0; t < 5; ++t) {
-    if (payloads[t] == nullptr) {
-      return Status::DataLoss("missing snapshot chunk");
-    }
+  // The chunks in the one order EncodeSnapshot writes them: anything
+  // else (reordered, missing, repeated or extra) is not a snapshot.
+  const std::vector<Chunk>& chunks = container.chunks;
+  if (chunks.size() != 5 || chunks[0].tag != kTagMeta ||
+      chunks[1].tag != kTagAttrs || chunks[2].tag != kTagVertices ||
+      chunks[3].tag != kTagConstraints || chunks[4].tag != kTagRows) {
+    return Status::DataLoss(
+        "snapshot chunks are not META, ATTR, VERT, CONS, ROWS in order");
   }
 
   DecodedSnapshot snap;
 
-  ByteReader meta(*payloads[0]);
+  ByteReader meta(chunks[0].payload);
   uint32_t snap_version = 0;
   uint64_t n_vertices = 0;
   meta.U32(&snap_version);
@@ -166,7 +162,7 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
   }
 
   // ATTR: the attribute name table.
-  ByteReader attrs(*payloads[1]);
+  ByteReader attrs(chunks[1].payload);
   uint32_t attr_count = 0;
   if (!attrs.U32(&attr_count) ||
       static_cast<uint64_t>(attr_count) * 4 > attrs.remaining()) {
@@ -190,7 +186,7 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
   // engine requires. An entry that interns to an earlier vertex (an
   // attribute listed twice, a duplicate ATTR name, a repeated composite)
   // would shift every later row index, so it is corruption too.
-  ByteReader vert(*payloads[2]);
+  ByteReader vert(chunks[2].payload);
   uint32_t vcount = 0;
   if (!vert.U32(&vcount) || vcount != n_vertices ||
       static_cast<uint64_t>(vcount) * 5 > vert.remaining()) {
@@ -230,7 +226,7 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
   }
 
   // CONS: E as vertex-index pairs.
-  ByteReader cons(*payloads[3]);
+  ByteReader cons(chunks[3].payload);
   uint32_t ccount = 0;
   if (!cons.U32(&ccount) ||
       static_cast<uint64_t>(ccount) * 9 > cons.remaining()) {
@@ -260,7 +256,7 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
   // META's arc count, the same audit restore runs.
   const std::size_t n = vcount;
   const std::size_t words = WordsFor(n);
-  ByteReader rows(*payloads[4]);
+  ByteReader rows(chunks[4].payload);
   if (rows.remaining() != n * words * 8) {
     return Status::DataLoss("snapshot ROWS chunk has wrong size");
   }

@@ -161,17 +161,18 @@ Status AtomicWriteFile(const std::string& path, std::string_view data) {
 
 std::string EncodeChunkContainer(uint32_t version,
                                  const std::vector<Chunk>& chunks) {
+  std::size_t size = sizeof(kContainerMagic) + 4;
+  for (const Chunk& c : chunks) size += 4 + 8 + c.payload.size() + 4;
   ByteWriter w;
+  w.Reserve(size);
   w.Bytes(std::string_view(kContainerMagic, sizeof(kContainerMagic)));
   w.U32(version);
   for (const Chunk& c : chunks) {
-    ByteWriter frame;
-    frame.U32(c.tag);
-    frame.U64(c.payload.size());
-    frame.Bytes(c.payload);
-    uint32_t crc = Crc32c(frame.data().data(), frame.data().size());
-    w.Bytes(frame.data());
-    w.U32(crc);
+    const std::size_t frame = w.data().size();
+    w.U32(c.tag);
+    w.U64(c.payload.size());
+    w.Bytes(c.payload);
+    w.U32(Crc32c(w.data().data() + frame, w.data().size() - frame));
   }
   return w.Take();
 }
@@ -196,6 +197,7 @@ Result<ChunkContainer> DecodeChunkContainer(std::string_view bytes,
     if (out.chunks.size() >= limits.max_chunks) {
       return Status::InvalidArgument("container exceeds max_chunks");
     }
+    const std::size_t frame = bytes.size() - r.remaining();
     uint32_t tag;
     uint64_t len;
     if (!r.U32(&tag) || !r.U64(&len)) {
@@ -215,14 +217,10 @@ Result<ChunkContainer> DecodeChunkContainer(std::string_view bytes,
         !r.U32(&stored_crc)) {
       return Status::DataLoss("truncated chunk body");
     }
-    ByteWriter frame;
-    frame.U32(tag);
-    frame.U64(len);
-    frame.Bytes(payload);
-    if (Crc32c(frame.data().data(), frame.data().size()) != stored_crc) {
+    if (Crc32c(bytes.data() + frame, 4 + 8 + payload.size()) != stored_crc) {
       return Status::DataLoss("chunk checksum mismatch");
     }
-    out.chunks.push_back(Chunk{tag, std::string(payload)});
+    out.chunks.push_back(Chunk{tag, payload});
   }
   return out;
 }

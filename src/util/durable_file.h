@@ -79,6 +79,7 @@ class ByteWriter {
     for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<char>(v >> (8 * i)));
   }
   void Bytes(std::string_view data) { buf_.append(data); }
+  void Reserve(std::size_t bytes) { buf_.reserve(bytes); }
   /// Length-prefixed string (u32 length + bytes).
   void Str(std::string_view s) {
     U32(static_cast<uint32_t>(s.size()));
@@ -171,10 +172,11 @@ Status AtomicWriteFile(const std::string& path, std::string_view data);
 
 // --- chunk container ---------------------------------------------------------
 
-/// One typed chunk of a container file.
+/// One typed chunk of a container file. The payload is borrowed: from the
+/// caller's buffer when encoding, from the input bytes when decoded.
 struct Chunk {
-  uint32_t tag = 0;     ///< four-CC, e.g. 'META' packed little-endian.
-  std::string payload;  ///< opaque bytes, CRC-protected on disk.
+  uint32_t tag = 0;          ///< four-CC, e.g. 'META' packed little-endian.
+  std::string_view payload;  ///< opaque bytes, CRC-protected on disk.
 };
 
 /// Packs "ABCD" into the on-disk u32 tag.
@@ -190,7 +192,8 @@ constexpr uint32_t ChunkTag(const char (&s)[5]) {
 std::string EncodeChunkContainer(uint32_t version,
                                  const std::vector<Chunk>& chunks);
 
-/// Parsed container.
+/// Parsed container. Its payloads are views into the decoded bytes, so
+/// those bytes must outlive it: decode a named buffer, never a temporary.
 struct ChunkContainer {
   uint32_t version = 0;
   std::vector<Chunk> chunks;

@@ -281,13 +281,17 @@ TEST_F(FailPointTest, IoShortReadDetectedByFramingThenRecovers) {
   std::vector<Chunk> chunks = {Chunk{ChunkTag("TEST"), "payload-bytes"}};
   ASSERT_TRUE(AtomicWriteFile(path, EncodeChunkContainer(1, chunks)).ok());
 
+  // A decoded container borrows its input: keep each read in a buffer
+  // that outlives the container.
   FailPoints::Arm(failpoints::kIoShortRead, 1);
-  auto torn = DecodeChunkContainer(*ReadFileBounded(path));
+  const std::string torn_bytes = *ReadFileBounded(path);
+  auto torn = DecodeChunkContainer(torn_bytes);
   ASSERT_FALSE(torn.ok());
   EXPECT_EQ(torn.status().code(), StatusCode::kDataLoss);
 
   FailPoints::DisarmAll();
-  auto clean = DecodeChunkContainer(*ReadFileBounded(path));
+  const std::string bytes = *ReadFileBounded(path);
+  auto clean = DecodeChunkContainer(bytes);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   ASSERT_EQ(clean->chunks.size(), 1u);
   EXPECT_EQ(clean->chunks[0].payload, "payload-bytes");
@@ -301,12 +305,14 @@ TEST_F(FailPointTest, IoBitFlipCaughtByChecksumThenRecovers) {
   ASSERT_TRUE(AtomicWriteFile(path, EncodeChunkContainer(1, chunks)).ok());
 
   FailPoints::Arm(failpoints::kIoBitFlip, 1);
-  auto flipped = DecodeChunkContainer(*ReadFileBounded(path));
+  const std::string flipped_bytes = *ReadFileBounded(path);
+  auto flipped = DecodeChunkContainer(flipped_bytes);
   ASSERT_FALSE(flipped.ok());
   EXPECT_EQ(flipped.status().code(), StatusCode::kDataLoss);
 
   FailPoints::DisarmAll();
-  auto clean = DecodeChunkContainer(*ReadFileBounded(path));
+  const std::string bytes = *ReadFileBounded(path);
+  auto clean = DecodeChunkContainer(bytes);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   ASSERT_EQ(clean->chunks.size(), 1u);
   EXPECT_EQ(clean->chunks[0].payload, "payload-bytes");

@@ -14,8 +14,10 @@
 //     a valid prefix longer than the input.
 //
 // Build: cmake -DPSEM_FUZZ=ON (requires Clang); run:
-//   ./build/tests/fuzz/fuzz_snapshot tests/fuzz/corpus/snapshot \
+//   ./build/tests/fuzz/fuzz_snapshot tests/fuzz/corpus/snapshot
 //       -max_total_time=60
+// Every build also replays the committed corpus once, without libFuzzer
+// (ctest -R fuzz_snapshot_corpus; tests/fuzz/replay_main.cc).
 
 #include <cstddef>
 #include <cstdint>
@@ -65,8 +67,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
   }
 
-  // The journal scanner shares the framing code path; it must be equally
-  // total. A valid prefix can never extend past the input.
+  // The journal scanner has its own record framing, so the same bytes
+  // test it too: it must be just as total, and a valid prefix can never
+  // extend past the input.
   auto journal = psem::ParseJournalBytes(bytes, limits);
   if (journal.ok() && journal->valid_bytes > bytes.size()) __builtin_trap();
   return 0;

@@ -169,13 +169,16 @@ TEST(ImplicationTest, RestoreDedupesConstraints) {
   const Pd q = *arena.ParsePd("C = A+D");
   PdImplicationEngine source(&arena, {p, q});
   source.Prepare({});
-  auto state = source.ExportClosureState();
-  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  auto rows = source.ClosedRows();
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(source.ClosedRows()->data(), rows->data());  // a view, no copy
 
   PdImplicationEngine restored(&arena, {});
   ASSERT_TRUE(restored
-                  .RestoreEngineState(source.vertices(), {p, q, p, q},
-                                      std::move(*state))
+                  .RestoreEngineState(
+                      source.vertices(), {p, q, p, q},
+                      {std::vector<DynamicBitset>(rows->begin(), rows->end()),
+                       source.stats().num_arcs})
                   .ok());
   EXPECT_EQ(restored.constraints(), (std::vector<Pd>{p, q}));
   restored.AddConstraint(p);

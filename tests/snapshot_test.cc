@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/implication.h"
@@ -85,7 +86,8 @@ TEST_F(SnapshotTest, EncodeDecodeRoundTripsClosureState) {
                                       std::move(snap->constraints),
                                       std::move(snap->state))
                   .ok());
-  EXPECT_EQ(restored.stats().num_arcs, 0u);  // stats refill on next closure
+  EXPECT_EQ(restored.stats().num_vertices, engine.stats().num_vertices);
+  EXPECT_EQ(restored.stats().num_arcs, engine.stats().num_arcs);
   // Every pairwise verdict matches the original engine.
   for (std::size_t i = 0; i < engine.vertices().size(); ++i) {
     for (std::size_t j = 0; j < engine.vertices().size(); ++j) {
@@ -219,11 +221,11 @@ std::string HandBuiltSnapshot(const std::vector<std::string>& attrs,
     }
   }
   return EncodeChunkContainer(
-      2, {Chunk{ChunkTag("META"), meta.Take()},
-          Chunk{ChunkTag("ATTR"), attr.Take()},
-          Chunk{ChunkTag("VERT"), verts.Take()},
-          Chunk{ChunkTag("CONS"), cons.Take()},
-          Chunk{ChunkTag("ROWS"), rows.Take()}});
+      2, {Chunk{ChunkTag("META"), meta.data()},
+          Chunk{ChunkTag("ATTR"), attr.data()},
+          Chunk{ChunkTag("VERT"), verts.data()},
+          Chunk{ChunkTag("CONS"), cons.data()},
+          Chunk{ChunkTag("ROWS"), rows.data()}});
 }
 
 Status DecodeAndRestore(const std::string& bytes) {
@@ -270,23 +272,25 @@ TEST_F(SnapshotTest, DecodeRejectsWhatRestoreRejects) {
 // decodes and restores, and each damaged seed is rejected for its damage,
 // not for its version. A format bump that forgets to regenerate them
 // fails here instead of leaving the fuzz job running stale seeds.
+std::string ReadSnapshotSeed(const std::string& name) {
+  std::ifstream in(std::string(PSEM_SNAPSHOT_CORPUS_DIR) + "/" + name,
+                   std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
 TEST_F(SnapshotTest, CommittedFuzzSeedsMatchTheFormat) {
-  auto read = [](const std::string& name) {
-    std::ifstream in(std::string(PSEM_SNAPSHOT_CORPUS_DIR) + "/" + name,
-                     std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-  };
-  const std::string valid = read("valid_snapshot");
+  const std::string valid = ReadSnapshotSeed("valid_snapshot");
   ASSERT_FALSE(valid.empty());
   Status st = DecodeAndRestore(valid);
   EXPECT_TRUE(st.ok()) << st.ToString();
   for (const char* name :
        {"bitflipped_snapshot", "truncated_snapshot",
-        "duplicate_vertex_snapshot", "arc_count_mismatch_snapshot"}) {
+        "duplicate_vertex_snapshot", "arc_count_mismatch_snapshot",
+        "reordered_chunks_snapshot"}) {
     SCOPED_TRACE(name);
-    const std::string bytes = read(name);
+    const std::string bytes = ReadSnapshotSeed(name);
     ASSERT_FALSE(bytes.empty());
     ExprArena arena;
     auto r = DecodeSnapshot(bytes, &arena);
@@ -295,6 +299,126 @@ TEST_F(SnapshotTest, CommittedFuzzSeedsMatchTheFormat) {
     EXPECT_EQ(r.status().message().find("version"), std::string::npos)
         << r.status().ToString();
   }
+}
+
+// The committed valid seed, decoded, restored and encoded again, is the
+// same bytes: the on-disk format is pinned, whatever the codec's insides.
+TEST_F(SnapshotTest, CommittedValidSnapshotReencodesByteForByte) {
+  const std::string valid = ReadSnapshotSeed("valid_snapshot");
+  ASSERT_FALSE(valid.empty());
+  ExprArena arena;
+  auto snap = DecodeSnapshot(valid, &arena);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  PdImplicationEngine engine(&arena, {});
+  ASSERT_TRUE(engine
+                  .RestoreEngineState(snap->vertices,
+                                      std::move(snap->constraints),
+                                      std::move(snap->state))
+                  .ok());
+  auto again = EncodeSnapshot(engine, snap->base_fingerprint);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(*again, valid);
+}
+
+// A decoded container borrows its input: every payload lies inside the
+// decoded bytes, where its frame put it, not in a copy.
+TEST_F(SnapshotTest, DecodedPayloadsLieInsideTheInput) {
+  ExprArena arena;
+  auto base = BaseTheory(&arena);
+  PdImplicationEngine engine(&arena, base);
+  engine.Implies(*arena.ParsePd("A*B <= D+E"));
+  auto bytes = EncodeSnapshot(engine, TheoryFingerprint(arena, base));
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto container = DecodeChunkContainer(*bytes);
+  ASSERT_TRUE(container.ok()) << container.status().ToString();
+  ASSERT_EQ(container->chunks.size(), 5u);
+  // Past the 12-byte header and each chunk's 12-byte tag + length.
+  std::size_t offset = 12 + 12;
+  for (const Chunk& c : container->chunks) {
+    EXPECT_EQ(c.payload.data(), bytes->data() + offset);
+    offset += c.payload.size() + 4 + 12;  // its crc, the next tag + length
+  }
+  EXPECT_EQ(offset - 12, bytes->size());
+}
+
+// DecodeSnapshot reads the chunks by position. A container whose chunks
+// are reordered, cut short or followed by an extra one is not a snapshot:
+// decode reports kDataLoss, and recovery rebuilds from base theory plus
+// the journal.
+TEST_F(SnapshotTest, MisorderedOrExtraChunksRecoverAsColdRecompute) {
+  ExprArena arena;
+  auto base = BaseTheory(&arena);
+  {
+    auto d = DurablePdEngine::Recover(&arena, base, Opts(/*checkpoint_every=*/0));
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    ASSERT_TRUE(
+        d->AddPd(*arena.ParsePd("E <= A+C"), ExecContext::Unbounded()).ok());
+    ASSERT_TRUE(d->Checkpoint(ExecContext::Unbounded()).ok());
+  }
+  const std::string bytes = *ReadFileBounded(snapshot_);
+  auto file = DecodeChunkContainer(bytes);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ(file->chunks.size(), 5u);
+  std::vector<Chunk> reordered = file->chunks;
+  std::swap(reordered[1], reordered[2]);  // VERT before ATTR
+  std::vector<Chunk> extra = file->chunks;
+  extra.push_back(Chunk{ChunkTag("XTRA"), "unknown"});
+  std::vector<Chunk> missing = file->chunks;
+  missing.pop_back();
+
+  for (const std::vector<Chunk>& chunks : {reordered, extra, missing}) {
+    const std::string damaged = EncodeChunkContainer(2, chunks);
+    SCOPED_TRACE(chunks.size());
+    ExprArena scratch;
+    auto r = DecodeSnapshot(damaged, &scratch);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(r.status().message().find("in order"), std::string::npos)
+        << r.status().ToString();
+
+    ASSERT_TRUE(AtomicWriteFile(snapshot_, damaged).ok());
+    ExprArena arena2;
+    auto d = DurablePdEngine::Recover(&arena2, BaseTheory(&arena2), Opts());
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    EXPECT_STREQ(RecoveryTierName(d->recovery().tier), "cold-recompute");
+    EXPECT_EQ(d->recovery().journal_replayed_new, 1u);
+    EXPECT_TRUE(d->engine().Implies(*arena2.ParsePd("E <= A+C")));
+  }
+}
+
+// A restored engine reports what it holds: its stats() carry the source
+// engine's |V| and arc count before any closure runs.
+TEST_F(SnapshotTest, RestoredEngineStatsMatchTheSource) {
+  ExprArena arena;
+  auto attr = [&](int k) {
+    std::string name = "A";
+    return arena.Attr(name += std::to_string(k));
+  };
+  std::vector<Pd> chain;
+  for (int k = 0; k + 1 < 64; ++k) {
+    chain.push_back(Pd::Leq(attr(k), attr(k + 1)));
+  }
+  PdImplicationEngine source(&arena, chain);
+  source.Prepare({});
+  ASSERT_EQ(source.stats().num_vertices, 64u);
+  ASSERT_EQ(source.stats().num_arcs, 64u * 65u / 2u);
+  auto bytes = EncodeSnapshot(source, TheoryFingerprint(arena, chain));
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+
+  ExprArena arena2;
+  auto snap = DecodeSnapshot(*bytes, &arena2);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  PdImplicationEngine restored(&arena2, {});
+  ASSERT_TRUE(restored
+                  .RestoreEngineState(snap->vertices,
+                                      std::move(snap->constraints),
+                                      std::move(snap->state))
+                  .ok());
+  EXPECT_EQ(restored.stats().num_vertices, source.stats().num_vertices);
+  EXPECT_EQ(restored.stats().num_arcs, source.stats().num_arcs);
+  EXPECT_TRUE(restored.Implies(
+      Pd::Leq(arena2.Attr("A0"), arena2.Attr("A63"))));
+  EXPECT_EQ(restored.stats().cold_closures, 0u);
 }
 
 TEST_F(SnapshotTest, FingerprintDistinguishesTheories) {
@@ -479,7 +603,8 @@ TEST_F(SnapshotTest, Version1SnapshotDegradesToColdRecompute) {
   // Rewrite the file as version 1 wrote it: META also carried the seeded
   // vertex count and a closure_valid byte, and an empty DLTA chunk
   // followed ROWS.
-  auto file = DecodeChunkContainer(*ReadFileBounded(snapshot_));
+  const std::string bytes = *ReadFileBounded(snapshot_);
+  auto file = DecodeChunkContainer(bytes);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   std::vector<Chunk> chunks = file->chunks;
   ASSERT_EQ(chunks[0].tag, ChunkTag("META"));
@@ -495,10 +620,10 @@ TEST_F(SnapshotTest, Version1SnapshotDegradesToColdRecompute) {
   v1_meta.U64(n);  // seeded vertices
   v1_meta.U64(n);
   v1_meta.U8(1);  // closure_valid
-  chunks[0].payload = v1_meta.Take();
+  chunks[0].payload = v1_meta.data();
   ByteWriter dlta;
   dlta.U32(0);
-  chunks.push_back(Chunk{ChunkTag("DLTA"), dlta.Take()});
+  chunks.push_back(Chunk{ChunkTag("DLTA"), dlta.data()});
   ASSERT_TRUE(
       AtomicWriteFile(snapshot_, EncodeChunkContainer(1, chunks)).ok());
 
@@ -851,14 +976,15 @@ TEST_F(SnapshotTest, CheckpointClosesAnAbortedClosure) {
 
 // --- incremental AddConstraint (engine-level) ---------------------------------
 
-TEST_F(SnapshotTest, AddConstraintMatchesFreshEngineAndDropsCache) {
+TEST_F(SnapshotTest, AddConstraintMatchesFreshEngineAndFlipsAVerdict) {
   ExprArena arena;
   auto base = BaseTheory(&arena);
   Pd query = *arena.ParsePd("E <= A+C");
   PdImplicationEngine engine(&arena, base);
   bool before = engine.Implies(query);
 
-  // Growing E must be able to flip a cached "not implied" verdict.
+  // Growing E must be able to flip a "not implied" verdict the closed
+  // closure gave under the smaller E.
   Pd extra = *arena.ParsePd("E = E*(A+C)");  // E <= A+C, FPD-style
   engine.AddConstraint(extra);
   std::vector<Pd> full = base;
