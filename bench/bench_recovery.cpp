@@ -11,7 +11,7 @@
 //
 // BM_Checkpoint times the write half: encoding the closed closure and
 // writing the snapshot that BM_WarmRecovery reads back (ungated, no
-// committed baseline yet).
+// committed baseline yet). BM_Crc32c times the checksum alone.
 //
 // Workload: ChainTheory(n) (A0 <= A1 <= ... <= A(n-1)), whose closure
 // holds ~n^2/2 derived arcs — the worst case for recompute and the
@@ -175,5 +175,21 @@ void BM_JournalReplayRecovery(benchmark::State& state) {
 }
 BENCHMARK(BM_JournalReplayRecovery)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond)->Complexity();
+
+// The checksum every snapshot and journal frame pays on both paths, over
+// a page and over about the ROWS chunk of n = 8192 (ungated, no committed
+// baseline yet).
+void BM_Crc32c(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  std::string bytes(len, '\0');
+  Rng rng(1);
+  for (char& c : bytes) c = static_cast<char>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(len));
+}
+BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(8388608);
 
 }  // namespace

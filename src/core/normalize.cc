@@ -54,6 +54,8 @@ class Flattener {
           closure_pds_.push_back(Pd::Eq(ec, out_arena_->Sum(ea, eb)));
           break;
         }
+        default:
+          PSEM_CHECK(false, "Flattener: expression kind outside ExprKind");
       }
       memo_.emplace(e, result);
     }

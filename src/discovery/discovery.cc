@@ -152,7 +152,7 @@ std::string PdPattern::ToString(const Universe& universe) const {
   return "?";
 }
 
-Result<std::vector<PdPattern>> DiscoverPdPatterns(const Database& db,
+Result<std::vector<PdPattern>> DiscoverPdPatterns(const Database& /*db*/,
                                                   const Relation& r) {
   const std::size_t arity = r.arity();
   if (r.empty()) {

@@ -55,7 +55,7 @@ Status WriteAll(int fd, const char* data, std::size_t len,
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, std::size_t len, uint32_t seed) {
+uint32_t Crc32cPortable(const void* data, std::size_t len, uint32_t seed) {
   // Software CRC32C (Castagnoli, poly 0x1EDC6F41 reflected = 0x82F63B78),
   // byte-at-a-time table built on first use.
   static const uint32_t* table = [] {
@@ -75,6 +75,42 @@ uint32_t Crc32c(const void* data, std::size_t len, uint32_t seed) {
     crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+namespace {
+
+// The same reflected Castagnoli CRC as the table, eight bytes per crc32
+// instruction; memcpy makes the unaligned loads well defined.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                       std::size_t len,
+                                                       uint32_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint64_t crc = seed ^ 0xFFFFFFFFu;
+  for (; len >= 8; p += 8, len -= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    crc = __builtin_ia32_crc32di(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; len > 0; ++p, --len) crc32 = __builtin_ia32_crc32qi(crc32, *p);
+  return crc32 ^ 0xFFFFFFFFu;
+}
+
+}  // namespace
+#endif
+
+uint32_t Crc32c(const void* data, std::size_t len, uint32_t seed) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  // Chosen once; __builtin_cpu_init makes the probe safe even when the
+  // first call comes from another translation unit's static initializer.
+  static const bool has_sse42 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  if (has_sse42) return Crc32cSse42(data, len, seed);
+#endif
+  return Crc32cPortable(data, len, seed);
 }
 
 Result<std::string> ReadFileBounded(const std::string& path,

@@ -41,8 +41,11 @@
 #ifndef PSEM_UTIL_DURABLE_FILE_H_
 #define PSEM_UTIL_DURABLE_FILE_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -52,10 +55,17 @@
 
 namespace psem {
 
-/// CRC32C (Castagnoli) of `data`, seedable for incremental use. Software
-/// slice-by-one table implementation — fast enough for snapshot-sized
-/// payloads and dependency-free.
+/// CRC32C (Castagnoli) of `data`, seedable for incremental use:
+/// Crc32c(b, n, Crc32c(a, m)) is the CRC of a followed by b. On x86-64
+/// CPUs with SSE4.2 (probed once, at the first call) it runs the `crc32`
+/// instruction eight bytes at a time; everywhere else it is
+/// Crc32cPortable. Both compute the same function, so every checksum on
+/// disk is the same whichever path wrote or reads it.
 uint32_t Crc32c(const void* data, std::size_t len, uint32_t seed = 0);
+
+/// The portable byte-at-a-time table CRC32C that Crc32c falls back to.
+/// Exposed so tests can check the hardware path against it.
+uint32_t Crc32cPortable(const void* data, std::size_t len, uint32_t seed = 0);
 
 /// Bounds for reading untrusted durable artifacts. Zero is NOT unlimited
 /// here — these are hard caps, always enforced.
@@ -69,15 +79,12 @@ struct DurableLimits {
 // --- little-endian byte codec ------------------------------------------------
 
 /// Appends fixed-width little-endian integers and raw bytes to a string.
+/// The format is little-endian on every host; a word is one copy.
 class ByteWriter {
  public:
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<char>(v >> (8 * i)));
-  }
+  void U32(uint32_t v) { Word(v); }
+  void U64(uint64_t v) { Word(v); }
   void Bytes(std::string_view data) { buf_.append(data); }
   void Reserve(std::size_t bytes) { buf_.reserve(bytes); }
   /// Length-prefixed string (u32 length + bytes).
@@ -89,6 +96,15 @@ class ByteWriter {
   std::string Take() { return std::move(buf_); }
 
  private:
+  template <typename T>
+  void Word(T v) {
+    auto* bytes = reinterpret_cast<char*>(&v);
+    if constexpr (std::endian::native == std::endian::big) {
+      std::reverse(bytes, bytes + sizeof(T));
+    }
+    buf_.append(bytes, sizeof(T));
+  }
+
   std::string buf_;
 };
 
@@ -104,22 +120,8 @@ class ByteReader {
     *v = static_cast<uint8_t>(data_[pos_++]);
     return true;
   }
-  bool U32(uint32_t* v) {
-    if (!Ensure(4)) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_++])) << (8 * i);
-    }
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (!Ensure(8)) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++])) << (8 * i);
-    }
-    return true;
-  }
+  bool U32(uint32_t* v) { return Word(v); }
+  bool U64(uint64_t* v) { return Word(v); }
   bool Bytes(std::size_t n, std::string_view* out) {
     if (!Ensure(n)) return false;
     *out = data_.substr(pos_, n);
@@ -148,6 +150,17 @@ class ByteReader {
       ok_ = false;
       return false;
     }
+    return true;
+  }
+  template <typename T>
+  bool Word(T* v) {
+    if (!Ensure(sizeof(T))) return false;
+    std::memcpy(v, data_.data() + pos_, sizeof(T));
+    if constexpr (std::endian::native == std::endian::big) {
+      auto* bytes = reinterpret_cast<char*>(v);
+      std::reverse(bytes, bytes + sizeof(T));
+    }
+    pos_ += sizeof(T);
     return true;
   }
 
