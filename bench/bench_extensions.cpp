@@ -184,5 +184,28 @@ void BM_PdPatternDiscovery(benchmark::State& state) {
 }
 BENCHMARK(BM_PdPatternDiscovery)->Arg(32)->Arg(128)->Arg(512)->Complexity();
 
+// CSV text -> Relation: the set-up step in front of discovery. Each
+// iteration loads into a fresh Database, which is freed untimed.
+void BM_LoadCsvRelation(benchmark::State& state) {
+  Rng rng = MakeBenchRng(16);
+  const std::string csv = PlantedCsv(&rng, static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    auto db = std::make_unique<Database>();
+    auto ri = LoadCsvRelation(csv, db.get());
+    if (!ri.ok()) {
+      state.SkipWithError(ri.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(db->relation(*ri).size());
+    state.counters["rows"] = static_cast<double>(db->relation(*ri).size());
+    state.PauseTiming();
+    db.reset();
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(csv.size()));
+}
+BENCHMARK(BM_LoadCsvRelation)->Arg(50000)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 

@@ -107,5 +107,40 @@ ExprId DeepExpr(ExprArena* arena, int depth, int num_attrs, bool start_sum) {
   return start_sum ? arena->Sum(l, r) : arena->Product(l, r);
 }
 
+std::string PlantedCsv(Rng* rng, int rows) {
+  constexpr int kCols = 12;
+  std::vector<uint64_t> f1(2000), f2(300), f10(24 * 10);
+  for (auto& v : f1) v = rng->Below(300);
+  for (auto& v : f2) v = rng->Below(40);
+  for (auto& v : f10) v = rng->Below(50);
+  std::string csv;
+  for (int c = 0; c < kCols; ++c) {
+    csv += c ? ",A" : "A";
+    csv += std::to_string(c);
+  }
+  csv += '\n';
+  uint64_t row[kCols];
+  for (int r = 0; r < rows; ++r) {
+    row[0] = rng->Below(2000);
+    row[1] = f1[row[0]];
+    row[2] = f2[row[1]];
+    row[3] = rng->Below(24);
+    row[4] = rng->Below(16);
+    row[5] = row[3] * 16 + row[4];
+    row[6] = rng->Below(30);
+    row[7] = row[6] * 6 + rng->Below(6);
+    row[8] = row[6] * 5 + rng->Below(5);
+    row[9] = rng->Below(10);
+    row[10] = f10[row[3] * 10 + row[9]];
+    row[11] = rng->Below(7);
+    for (int c = 0; c < kCols; ++c) {
+      if (c) csv += ',';
+      csv += std::to_string(row[c]);
+    }
+    csv += '\n';
+  }
+  return csv;
+}
+
 }  // namespace bench
 }  // namespace psem

@@ -62,6 +62,12 @@ std::vector<Pd> ChainTheory(ExprArena* arena, int n);
 /// alternating operators: stresses the Whitman deciders.
 ExprId DeepExpr(ExprArena* arena, int depth, int num_attrs, bool start_sum);
 
+/// CSV text of a `rows` x 12 table over A0..A11 with planted structure:
+/// A0 -> A1 -> A2, A5 encodes the pair (A3, A4), A6 is the component id
+/// shared by A7 and A8, A3 A9 -> A10, and A11 is noise. The shape of the
+/// end-to-end csv-discover workload, for the CSV load path.
+std::string PlantedCsv(Rng* rng, int rows);
+
 }  // namespace bench
 }  // namespace psem
 

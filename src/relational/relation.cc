@@ -11,23 +11,18 @@ uint64_t Relation::HashRow(const Tuple& t) {
     h ^= v;
     h *= 0x100000001b3ull;
   }
-  return h;
-}
-
-bool Relation::ContainsExact(const Tuple& t) const {
-  auto [lo, hi] = index_.equal_range(HashRow(t));
-  for (auto it = lo; it != hi; ++it) {
-    if (rows_[it->second] == t) return true;
-  }
-  return false;
+  return MixHash(h);
 }
 
 bool Relation::AddTuple(Tuple t) {
   assert(t.size() == schema_.arity());
-  if (ContainsExact(t)) return false;
-  uint64_t h = HashRow(t);
-  index_.emplace(h, static_cast<uint32_t>(rows_.size()));
+  index_.MakeRoom(rows_.size(),
+                  [this](uint32_t row) { return HashRow(rows_[row]); });
+  uint32_t& slot = index_.Slot(
+      HashRow(t), [&](uint32_t row) { return rows_[row] == t; });
+  if (slot != 0) return false;
   rows_.push_back(std::move(t));
+  slot = static_cast<uint32_t>(rows_.size());
   return true;
 }
 

@@ -9,10 +9,10 @@
 #include <initializer_list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "relational/universe.h"
+#include "util/interner.h"
 #include "util/status.h"
 
 namespace psem {
@@ -49,6 +49,9 @@ struct RelationSchema {
 
 /// A finite relation over a scheme. Set semantics: AddTuple ignores exact
 /// duplicates. Row order is insertion order (deterministic).
+///
+/// Membership is a FlatIdIndex over the rows, keyed by HashRow, so
+/// Contains is one probe sequence.
 class Relation {
  public:
   explicit Relation(RelationSchema schema) : schema_(std::move(schema)) {}
@@ -64,7 +67,10 @@ class Relation {
   bool AddTuple(Tuple t);
 
   /// True iff the exact tuple is present.
-  bool Contains(const Tuple& t) const { return index_.count(HashRow(t)) > 0 && ContainsExact(t); }
+  bool Contains(const Tuple& t) const {
+    return index_.Find(HashRow(t),
+                       [&](uint32_t row) { return rows_[row] == t; }) != 0;
+  }
 
   /// Convenience: interns the given symbols and inserts the tuple.
   bool AddRow(SymbolTable* symbols, const std::vector<std::string>& values);
@@ -84,12 +90,10 @@ class Relation {
 
  private:
   static uint64_t HashRow(const Tuple& t);
-  bool ContainsExact(const Tuple& t) const;
 
   RelationSchema schema_;
   std::vector<Tuple> rows_;
-  // hash -> row indices with that hash (collision-safe membership).
-  std::unordered_multimap<uint64_t, uint32_t> index_;
+  FlatIdIndex index_;
 };
 
 /// A database: a set of named relations plus the shared universe and

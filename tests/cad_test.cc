@@ -54,7 +54,9 @@ TEST(NaeSolveTest, ComplementSymmetryRespected) {
   auto brute = NaeBruteForce(f);
   auto dpll = NaeSolve(f);
   EXPECT_EQ(brute.has_value(), dpll.assignment.has_value());
-  if (dpll.assignment) EXPECT_TRUE(f.Satisfied(*dpll.assignment));
+  if (dpll.assignment) {
+    EXPECT_TRUE(f.Satisfied(*dpll.assignment));
+  }
 }
 
 class NaeDifferentialTest : public ::testing::TestWithParam<int> {};
@@ -70,7 +72,9 @@ TEST_P(NaeDifferentialTest, SolverMatchesBruteForce) {
     ASSERT_TRUE(dpll.decided);
     ASSERT_EQ(brute.has_value(), dpll.assignment.has_value())
         << f.ToString();
-    if (dpll.assignment) EXPECT_TRUE(f.Satisfied(*dpll.assignment));
+    if (dpll.assignment) {
+      EXPECT_TRUE(f.Satisfied(*dpll.assignment));
+    }
   }
 }
 

@@ -157,7 +157,9 @@ TEST(FdKeysTest, KeysAreMinimalAndDetermineScheme) {
       });
       // No key contains another.
       for (const AttrSet& k2 : keys) {
-        if (!(k == k2)) EXPECT_FALSE(k.IsSubsetOf(k2));
+        if (!(k == k2)) {
+          EXPECT_FALSE(k.IsSubsetOf(k2));
+        }
       }
     }
   }

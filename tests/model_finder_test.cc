@@ -123,7 +123,9 @@ TEST_P(ModelFinderSweep, SoundAgainstAlg) {
     }
   }
   // Most non-implications should be witnessed within Pi_<=3.
-  if (not_implied > 0) EXPECT_GT(found, 0);
+  if (not_implied > 0) {
+    EXPECT_GT(found, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelFinderSweep, ::testing::Range(0, 4));

@@ -170,7 +170,9 @@ TEST(PdConsistencyTest, MonotoneInTheory) {
     big_e.push_back(pool[(trial + 1) % pool.size()]);
     bool small_ok = PdConsistent(&small_db, arena, small_e)->consistent;
     bool big_ok = PdConsistent(&big_db, arena, big_e)->consistent;
-    if (big_ok) EXPECT_TRUE(small_ok);
+    if (big_ok) {
+      EXPECT_TRUE(small_ok);
+    }
   }
 }
 

@@ -241,5 +241,50 @@ TEST(SatisfiesAllFdsTest, Conjunction) {
   EXPECT_TRUE(*SatisfiesAllFds(r, {fds[0]}));
 }
 
+TEST(RelationIndexTest, DedupesAndKeepsInsertionOrderAcrossGrowth) {
+  // 10^5 distinct tuples cross many doublings of the membership table;
+  // duplicates of earlier tuples are interleaved throughout.
+  constexpr uint32_t kRows = 100000;
+  auto tuple = [](uint32_t i) { return Tuple{i % 317, i / 317, i % 5}; };
+  Database db;
+  Relation& r = db.relation(db.AddRelation("R", {"A", "B", "C"}));
+  for (uint32_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(r.AddTuple(tuple(i)));
+    if (i % 3 == 0) {
+      ASSERT_FALSE(r.AddTuple(tuple(i / 2)));
+    }
+  }
+  ASSERT_EQ(r.size(), kRows);
+  for (uint32_t i = 0; i < kRows; ++i) {
+    ASSERT_EQ(r.row(i), tuple(i));
+    ASSERT_TRUE(r.Contains(tuple(i)));
+  }
+  EXPECT_FALSE(r.Contains(Tuple{0, kRows, 0}));
+  EXPECT_FALSE(r.Contains(Tuple{1, 0, 0}));  // only i = 1 has A = 1, B = 0
+  EXPECT_FALSE(r.Contains(Tuple{316, 0, 0}));  // and i = 316 has C = 1
+
+  // A copy and a moved-to relation keep the index with the rows.
+  Relation copy = r;
+  EXPECT_FALSE(copy.AddTuple(tuple(12345)));
+  EXPECT_TRUE(copy.AddTuple(Tuple{0, kRows, 0}));
+  EXPECT_EQ(copy.size(), kRows + 1);
+  EXPECT_EQ(r.size(), kRows);
+  EXPECT_FALSE(r.Contains(Tuple{0, kRows, 0}));
+  Relation moved = std::move(copy);
+  EXPECT_TRUE(moved.Contains(Tuple{0, kRows, 0}));
+  EXPECT_FALSE(moved.AddTuple(tuple(kRows - 1)));
+  EXPECT_FALSE(moved.AddTuple(Tuple{0, kRows, 0}));
+  EXPECT_EQ(moved.size(), kRows + 1);
+  EXPECT_EQ(moved.rows().back(), (Tuple{0, kRows, 0}));
+}
+
+TEST(RelationIndexTest, EmptyRelationContainsNothing) {
+  Relation r(RelationSchema{"R", {0, 1}});
+  EXPECT_FALSE(r.Contains(Tuple{0, 0}));
+  EXPECT_TRUE(r.AddTuple(Tuple{0, 0}));
+  EXPECT_TRUE(r.Contains(Tuple{0, 0}));
+  EXPECT_FALSE(r.Contains(Tuple{0, 1}));
+}
+
 }  // namespace
 }  // namespace psem

@@ -68,7 +68,9 @@ TEST(PdTheoryTest, DuplicateAddIsOrderIndependent) {
                               : "engine() after the Adds");
     PdTheory t;
     ASSERT_TRUE(t.AddParsed("A <= B*C").ok());
-    if (engine_first) EXPECT_EQ(t.engine().constraints().size(), 1u);
+    if (engine_first) {
+      EXPECT_EQ(t.engine().constraints().size(), 1u);
+    }
     ASSERT_TRUE(t.AddParsed("A <= B*C").ok());
     EXPECT_EQ(t.pds().size(), 1u);
     EXPECT_EQ(t.engine().constraints().size(), 1u);

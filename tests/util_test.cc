@@ -496,6 +496,47 @@ TEST(InternerTest, LookupWithoutInterning) {
   EXPECT_TRUE(in.Lookup("ghost").has_value());
 }
 
+TEST(InternerTest, DenseIdsInInsertionOrderAcrossGrowth) {
+  // 10^5 names cross many table doublings; each must keep the id of its
+  // first Intern, and ids must be 0..n-1 in insertion order.
+  constexpr uint32_t kNames = 100000;
+  StringInterner in;
+  for (uint32_t i = 0; i < kNames; ++i) {
+    ASSERT_EQ(in.Intern("n" + std::to_string(i)), i);
+    if (i % 7 == 0) {
+      ASSERT_EQ(in.Intern("n" + std::to_string(i / 2)), i / 2);
+    }
+  }
+  ASSERT_EQ(in.size(), kNames);
+  for (uint32_t i = 0; i < kNames; ++i) {
+    const std::string name = "n" + std::to_string(i);
+    ASSERT_EQ(in.NameOf(i), name);
+    ASSERT_EQ(in.Intern(name), i);
+    ASSERT_EQ(in.Lookup(name), std::optional<uint32_t>(i));
+  }
+  EXPECT_EQ(in.size(), kNames);
+}
+
+TEST(InternerTest, LookupOfAbsentNamesIsEmpty) {
+  StringInterner in;
+  EXPECT_FALSE(in.Lookup("").has_value());  // empty table
+  for (uint32_t i = 0; i < 1000; ++i) in.Intern("n" + std::to_string(i));
+  EXPECT_FALSE(in.Lookup("").has_value());
+  for (uint32_t i = 0; i < 1000; ++i) {
+    const std::string name = "n" + std::to_string(i);
+    // One byte appended, dropped, or changed.
+    EXPECT_FALSE(in.Lookup(name + "x").has_value()) << name;
+    EXPECT_FALSE(in.Lookup(name.substr(1)).has_value()) << name;
+    EXPECT_FALSE(in.Lookup("m" + name.substr(1)).has_value()) << name;
+    EXPECT_FALSE(in.Lookup(name + '\0').has_value()) << name;
+  }
+  EXPECT_EQ(in.size(), 1000u);
+  // The empty string is a name like any other.
+  uint32_t empty = in.Intern("");
+  EXPECT_EQ(empty, 1000u);
+  EXPECT_EQ(in.Lookup(""), std::optional<uint32_t>(empty));
+}
+
 // --- Rng ---------------------------------------------------------------------
 
 TEST(RngTest, DeterministicForSeed) {
