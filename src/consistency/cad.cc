@@ -242,7 +242,7 @@ Result<CadReduction> ReduceNaeToCad(const NaeFormula& f, Database* db) {
   // R0[A A1 ... An] = { a u1...un, a v1...vn }.
   {
     std::vector<std::string> names{"A"};
-    for (uint32_t i = 0; i < n; ++i) names.push_back("A" + std::to_string(i + 1));
+    for (uint32_t i = 0; i < n; ++i) names.push_back('A' + std::to_string(i + 1));
     std::size_t r0 = db->AddRelation("R0", names);
     std::vector<std::string> t1{"a"}, t2{"a"};
     for (uint32_t i = 0; i < n; ++i) {
@@ -265,12 +265,12 @@ Result<CadReduction> ReduceNaeToCad(const NaeFormula& f, Database* db) {
     std::vector<std::string> row{"b"};
     for (uint32_t i = 0; i < n; ++i) {
       if (!in_clause[i]) {
-        names.push_back("A" + std::to_string(i + 1));
-        row.push_back("y" + std::to_string(j + 1) + "_" + std::to_string(i + 1));
+        names.push_back('A' + std::to_string(i + 1));
+        row.push_back('y' + std::to_string(j + 1) + "_" + std::to_string(i + 1));
       }
     }
     for (uint32_t i = 0; i < n; ++i) {
-      names.push_back("B" + std::to_string(i + 1));
+      names.push_back('B' + std::to_string(i + 1));
       if (in_clause[i]) {
         bool positive = false;
         for (const NaeLiteral& l : clause) {
@@ -278,10 +278,10 @@ Result<CadReduction> ReduceNaeToCad(const NaeFormula& f, Database* db) {
         }
         row.push_back((positive ? "a" : "b") + std::to_string(i + 1));
       } else {
-        row.push_back("z" + std::to_string(j + 1) + "_" + std::to_string(i + 1));
+        row.push_back('z' + std::to_string(j + 1) + "_" + std::to_string(i + 1));
       }
     }
-    std::size_t rj = db->AddRelation("R" + std::to_string(j + 1), names);
+    std::size_t rj = db->AddRelation('R' + std::to_string(j + 1), names);
     db->relation(rj).AddRow(&syms, row);
   }
 
@@ -314,10 +314,10 @@ Result<std::vector<bool>> DecodeCadAssignment(const Database& db,
   const std::vector<ValueId>& t1 = result.weak_instance[0];
   for (uint32_t i = 0; i < n; ++i) {
     PSEM_ASSIGN_OR_RETURN(RelAttrId bi,
-                          db.universe().Require("B" + std::to_string(i + 1)));
+                          db.universe().Require('B' + std::to_string(i + 1)));
     const std::string& sym = db.symbols().NameOf(t1[bi]);
-    std::string a_sym = "a" + std::to_string(i + 1);
-    std::string b_sym = "b" + std::to_string(i + 1);
+    std::string a_sym = 'a' + std::to_string(i + 1);
+    std::string b_sym = 'b' + std::to_string(i + 1);
     if (sym == a_sym) {
       assignment[i] = true;
     } else if (sym == b_sym) {

@@ -98,7 +98,7 @@ Result<std::size_t> BuildArmstrongRelation(const FdTheory& theory,
       if (c.Test(a)) {
         row.push_back(base[col]);
       } else {
-        row.push_back("v" + std::to_string(row_id) + "_" + attr_names[col]);
+        row.push_back('v' + std::to_string(row_id) + '_' + attr_names[col]);
       }
       ++col;
     });

@@ -162,8 +162,12 @@ Result<std::size_t> LoadCsvRelation(const std::string& csv_text, Database* db,
 
 namespace {
 
-std::string QuoteIfNeeded(const std::string& s) {
-  bool needs = s.find_first_of(",\"\n") != std::string::npos;
+// Quotes `s` where the loader would read it back changed: a comma, quote,
+// newline or CR (dropped outside quotes), or a blank line, which `s` all
+// whitespace and `alone` on its line would make and the loader skips.
+std::string QuoteIfNeeded(const std::string& s, bool alone) {
+  const bool needs = s.find_first_of(",\"\n\r") != std::string::npos ||
+                     (alone && StripAsciiWhitespace(s).empty());
   if (!needs) return s;
   std::string out = "\"";
   for (char c : s) {
@@ -186,7 +190,7 @@ std::string DumpCsvRelation(const Database& db, const Relation& r) {
   for (const Tuple& t : r.rows()) {
     for (std::size_t c = 0; c < r.arity(); ++c) {
       if (c > 0) out += ",";
-      out += QuoteIfNeeded(db.symbols().NameOf(t[c]));
+      out += QuoteIfNeeded(db.symbols().NameOf(t[c]), r.arity() == 1);
     }
     out += "\n";
   }

@@ -23,6 +23,12 @@ double SecondsSince(SteadyClock::time_point start) {
 // the running arc counter ride along with the same stride.
 constexpr std::size_t kCheckStride = 256;
 
+// The constraint index's key: (lhs, rhs, is_equation).
+uint64_t ConstraintHash(const Pd& pd) {
+  return MixHash((uint64_t{pd.lhs} << 32 | pd.rhs) ^
+                 (pd.is_equation ? 0x9e3779b97f4a7c15ull : 0));
+}
+
 }  // namespace
 
 PdImplicationEngine::PdImplicationEngine(const ExprArena* arena,
@@ -30,25 +36,26 @@ PdImplicationEngine::PdImplicationEngine(const ExprArena* arena,
                                          EngineOptions options)
     : arena_(arena), options_(options) {
   constraints_.reserve(constraints.size());
-  constraint_index_.reserve(constraints.size());
   for (const Pd& pd : constraints) AddConstraint(pd);
 }
 
 Status PdImplicationEngine::CheckVertexBudget(std::span<const ExprId> exprs,
                                               const ExecContext& ctx) const {
   if (ctx.max_vertices() == 0) return Status::OK();
-  auto in_v = [this](ExprId e) { return vertex_of_.contains(e); };
+  auto in_v = [this](ExprId e) { return VertexIndexOf(e) != kNoVertex; };
   std::size_t added = 0;
   for (ExprId e : arena_->PostOrder(exprs, in_v)) added += !in_v(e);
   return ctx.CheckVertices(vertices_.size() + added);
 }
 
 void PdImplicationEngine::AddVertices(std::span<const ExprId> exprs) {
+  vertex_of_.resize(arena_->size(), kNoVertex);  // the arena only grows
   // Children first, so child indices exist; the walk stops at V.
   for (ExprId e : arena_->PostOrder(
-           exprs, [this](ExprId x) { return vertex_of_.contains(x); })) {
+           exprs, [this](ExprId x) { return vertex_of_[x] != kNoVertex; })) {
+    if (vertex_of_[e] != kNoVertex) continue;  // already in V
     const uint32_t idx = static_cast<uint32_t>(vertices_.size());
-    if (!vertex_of_.try_emplace(e, idx).second) continue;  // already in V
+    vertex_of_[e] = idx;
     vertices_.push_back(e);
     kind_.push_back(arena_->KindOf(e));
     parents_.emplace_back();
@@ -56,8 +63,8 @@ void PdImplicationEngine::AddVertices(std::span<const ExprId> exprs) {
       lhs_.push_back(kNoVertex);
       rhs_.push_back(kNoVertex);
     } else {
-      uint32_t l = vertex_of_.at(arena_->LhsOf(e));
-      uint32_t r = vertex_of_.at(arena_->RhsOf(e));
+      uint32_t l = vertex_of_[arena_->LhsOf(e)];
+      uint32_t r = vertex_of_[arena_->RhsOf(e)];
       lhs_.push_back(l);
       rhs_.push_back(r);
       // Children are already interned (smaller indices), so the parent
@@ -175,8 +182,8 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
   // Rule 6: each constraint not yet planted contributes its arc(s).
   for (; planted_constraints_ < constraints_.size(); ++planted_constraints_) {
     const Pd& pd = constraints_[planted_constraints_];
-    uint32_t l = vertex_of_.at(pd.lhs);
-    uint32_t r = vertex_of_.at(pd.rhs);
+    uint32_t l = vertex_of_[pd.lhs];
+    uint32_t r = vertex_of_[pd.rhs];
     TrySetArc(l, r);
     if (pd.is_equation) TrySetArc(r, l);
   }
@@ -604,13 +611,21 @@ Status PdImplicationEngine::Prepare(const std::vector<ExprId>& exprs,
 }
 
 bool PdImplicationEngine::HasConstraint(const Pd& pd) const {
-  return constraint_index_.contains(pd);
+  return constraint_index_.Find(ConstraintHash(pd), [&](uint32_t c) {
+    return constraints_[c] == pd;
+  }) != 0;
 }
 
 void PdImplicationEngine::AddConstraint(const Pd& pd) {
-  if (!constraint_index_.insert(pd).second) return;
+  constraint_index_.MakeRoom(constraints_.size(), [this](uint32_t c) {
+    return ConstraintHash(constraints_[c]);
+  });
+  uint32_t& slot = constraint_index_.Slot(
+      ConstraintHash(pd), [&](uint32_t c) { return constraints_[c] == pd; });
+  if (slot != 0) return;
   AddVertices(std::array{pd.lhs, pd.rhs});
   constraints_.push_back(pd);
+  slot = static_cast<uint32_t>(constraints_.size());
   closure_valid_ = false;
 }
 
@@ -668,7 +683,8 @@ Status PdImplicationEngine::RestoreEngineState(
     return Status::DataLoss("snapshot vertex order is not children-first");
   }
   for (const Pd& pd : constraints) {
-    if (!vertex_of_.count(pd.lhs) || !vertex_of_.count(pd.rhs)) {
+    if (VertexIndexOf(pd.lhs) == kNoVertex ||
+        VertexIndexOf(pd.rhs) == kNoVertex) {
       return Status::DataLoss("snapshot constraint over unknown vertex");
     }
     AddConstraint(pd);
@@ -692,20 +708,17 @@ Status PdImplicationEngine::RestoreEngineState(
 }
 
 bool PdImplicationEngine::LeqInClosure(ExprId e1, ExprId e2) const {
-  assert(closure_valid_);
-  auto i = vertex_of_.find(e1);
-  auto j = vertex_of_.find(e2);
-  assert(i != vertex_of_.end() && j != vertex_of_.end());
-  return up_[i->second].Test(j->second);
+  const std::optional<bool> leq = Probe(Pd::Leq(e1, e2));
+  assert(leq.has_value());
+  return *leq;
 }
 
 std::optional<bool> PdImplicationEngine::Probe(const Pd& query) const {
   if (!closure_valid_) return std::nullopt;
-  auto i = vertex_of_.find(query.lhs);
-  auto j = vertex_of_.find(query.rhs);
-  if (i == vertex_of_.end() || j == vertex_of_.end()) return std::nullopt;
-  if (!up_[i->second].Test(j->second)) return false;
-  return !query.is_equation || up_[j->second].Test(i->second);
+  const uint32_t i = VertexIndexOf(query.lhs), j = VertexIndexOf(query.rhs);
+  if (i == kNoVertex || j == kNoVertex) return std::nullopt;
+  if (!up_[i].Test(j)) return false;
+  return !query.is_equation || up_[j].Test(i);
 }
 
 bool PdImplicationEngine::ImpliesLeq(ExprId e1, ExprId e2) {

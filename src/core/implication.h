@@ -58,13 +58,12 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "lattice/expr.h"
 #include "util/bitset.h"
 #include "util/exec_context.h"
+#include "util/interner.h"
 #include "util/status.h"
 
 namespace psem {
@@ -173,7 +172,7 @@ class PdImplicationEngine {
   /// constraint already in E is a no-op.
   void AddConstraint(const Pd& pd);
   /// True iff `pd` is already in E (structural equality of interned ids):
-  /// one probe of the hashed constraint index.
+  /// one probe of the constraint index.
   bool HasConstraint(const Pd& pd) const;
   /// The admission check a constraint passes before it may enter E (or a
   /// journal): false if it is already in E, true if it may enter, or the
@@ -196,6 +195,11 @@ class PdImplicationEngine {
   /// row/column index of the arc matrices — the order a snapshot must
   /// reproduce for RestoreEngineState.
   const std::vector<ExprId>& vertices() const { return vertices_; }
+  /// The row index of `e` in vertices(), or UINT32_MAX if `e` is not in V
+  /// (an ExprId the arena interned after V last grew is not).
+  uint32_t VertexIndexOf(ExprId e) const {
+    return e < vertex_of_.size() ? vertex_of_[e] : kNoVertex;
+  }
 
   /// A view (valid until the engine next changes) of the closed arc rows,
   /// one per vertex in vertices() order, each |V| bits wide: by Lemma 9.2
@@ -262,17 +266,10 @@ class PdImplicationEngine {
   // the closure is closed and both sides are in V, nullopt otherwise.
   std::optional<bool> Probe(const Pd& query) const;
 
-  struct PdHash {
-    std::size_t operator()(const Pd& pd) const {
-      return std::hash<uint64_t>{}(uint64_t{pd.lhs} << 32 | pd.rhs) ^
-             pd.is_equation;
-    }
-  };
-
   const ExprArena* arena_;
-  // E in insertion order, and its hashed (lhs, rhs, is_equation) index.
+  // E in insertion order, and its (lhs, rhs, is_equation) index.
   std::vector<Pd> constraints_;
-  std::unordered_set<Pd, PdHash> constraint_index_;
+  FlatIdIndex constraint_index_;
   // constraints_[0, planted_constraints_) have their arcs planted in the
   // delta state; the rest are planted by the next ComputeClosure's seed
   // phase (all of E on a cold closure). An abort before seeding leaves
@@ -280,10 +277,11 @@ class PdImplicationEngine {
   std::size_t planted_constraints_ = 0;
   EngineOptions options_;
 
-  std::vector<ExprId> vertices_;                    // index -> ExprId
-  std::unordered_map<ExprId, uint32_t> vertex_of_;  // ExprId -> index
-  // Children as vertex indices (kNoVertex for attribute leaves).
   static constexpr uint32_t kNoVertex = UINT32_MAX;
+  std::vector<ExprId> vertices_;  // index -> ExprId
+  // ExprId -> index, kNoVertex if not in V; grows only in AddVertices.
+  std::vector<uint32_t> vertex_of_;
+  // Children as vertex indices (kNoVertex for attribute leaves).
   std::vector<uint32_t> lhs_, rhs_;
   std::vector<ExprKind> kind_;
   // parents_[c] lists every composite m having c as a child, paired with

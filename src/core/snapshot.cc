@@ -1,8 +1,6 @@
 #include "core/snapshot.h"
 
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace psem {
@@ -59,16 +57,11 @@ Result<std::string> EncodeSnapshot(const PdImplicationEngine& engine,
   const ExprArena& arena = engine.arena();
   const std::vector<ExprId>& vertices = engine.vertices();
 
-  std::unordered_map<ExprId, uint32_t> index_of;
-  index_of.reserve(vertices.size());
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    index_of.emplace(vertices[i], static_cast<uint32_t>(i));
-  }
-
   // ATTR + VERT: V serialized structurally. ExprIds are arena-local and
   // meaningless in another process; kind + name/child-indices are not.
   std::vector<AttrId> attr_order;
-  std::unordered_map<uint32_t, uint32_t> attr_local;
+  // AttrId -> its index in attr_order + 1; 0 until it is listed.
+  std::vector<uint32_t> attr_local(arena.num_attrs(), 0);
   ByteWriter vert;
   vert.U32(static_cast<uint32_t>(vertices.size()));
   for (std::size_t i = 0; i < vertices.size(); ++i) {
@@ -76,13 +69,14 @@ Result<std::string> EncodeSnapshot(const PdImplicationEngine& engine,
     vert.U8(static_cast<uint8_t>(arena.KindOf(e)));
     if (arena.IsAttr(e)) {
       AttrId a = arena.AttrOf(e);
-      auto [it, inserted] =
-          attr_local.emplace(a, static_cast<uint32_t>(attr_order.size()));
-      if (inserted) attr_order.push_back(a);
-      vert.U32(it->second);
+      if (attr_local[a] == 0) {
+        attr_order.push_back(a);
+        attr_local[a] = static_cast<uint32_t>(attr_order.size());
+      }
+      vert.U32(attr_local[a] - 1);
     } else {
-      uint32_t l = index_of.at(arena.LhsOf(e));
-      uint32_t r = index_of.at(arena.RhsOf(e));
+      uint32_t l = engine.VertexIndexOf(arena.LhsOf(e));
+      uint32_t r = engine.VertexIndexOf(arena.RhsOf(e));
       PSEM_CHECK(l < i && r < i, "engine vertex order not children-first");
       vert.U32(l);
       vert.U32(r);
@@ -96,8 +90,8 @@ Result<std::string> EncodeSnapshot(const PdImplicationEngine& engine,
   ByteWriter cons;
   cons.U32(static_cast<uint32_t>(engine.constraints().size()));
   for (const Pd& pd : engine.constraints()) {
-    cons.U32(index_of.at(pd.lhs));
-    cons.U32(index_of.at(pd.rhs));
+    cons.U32(engine.VertexIndexOf(pd.lhs));
+    cons.U32(engine.VertexIndexOf(pd.rhs));
     cons.U8(pd.is_equation ? kConsEquation : 0);
   }
 
@@ -193,8 +187,8 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
     return Status::DataLoss("malformed snapshot VERT chunk");
   }
   snap.vertices.reserve(vcount);
-  std::unordered_set<ExprId> seen;
-  seen.reserve(vcount);
+  // By ExprId: the arena grows by at most one node per entry.
+  std::vector<bool> seen(arena->size() + vcount);
   for (uint32_t i = 0; i < vcount; ++i) {
     uint8_t kind = 0;
     if (!vert.U8(&kind)) return Status::DataLoss("truncated snapshot vertex");
@@ -217,9 +211,9 @@ Result<DecodedSnapshot> DecodeSnapshot(std::string_view bytes,
     } else {
       return Status::DataLoss("snapshot vertex has unknown kind");
     }
-    if (!seen.insert(snap.vertices.back()).second) {
-      return Status::DataLoss("snapshot vertex listed twice");
-    }
+    const ExprId e = snap.vertices.back();
+    if (seen[e]) return Status::DataLoss("snapshot vertex listed twice");
+    seen[e] = true;
   }
   if (!vert.AtEnd()) {
     return Status::DataLoss("trailing bytes in snapshot VERT chunk");

@@ -9,25 +9,22 @@
 namespace psem {
 
 ExprId ExprArena::InternNode(ExprKind kind, AttrId attr, ExprId l, ExprId r) {
-  NodeKey key{kind, kind == ExprKind::kAttr ? attr : l,
-              kind == ExprKind::kAttr ? 0 : r};
-  auto it = intern_.find(key);
-  if (it != intern_.end()) return it->second;
-  Node node;
-  node.kind = kind;
-  node.attr = attr;
-  node.lhs = l;
-  node.rhs = r;
   const uint64_t complexity =
       kind == ExprKind::kAttr
           ? 0
           : uint64_t{nodes_[l].complexity} + nodes_[r].complexity + 1;
-  node.complexity =
-      static_cast<uint32_t>(std::min<uint64_t>(complexity, UINT32_MAX));
-  ExprId id = static_cast<ExprId>(nodes_.size());
-  nodes_.push_back(node);
-  intern_.emplace(key, id);
-  return id;
+  const Node node{kind, attr, l, r,
+                  static_cast<uint32_t>(std::min<uint64_t>(complexity,
+                                                           UINT32_MAX))};
+  intern_.MakeRoom(nodes_.size(),
+                   [this](uint32_t id) { return KeyHash(nodes_[id]); });
+  uint32_t& slot = intern_.Slot(
+      KeyHash(node), [&](uint32_t id) { return nodes_[id] == node; });
+  if (slot == 0) {
+    nodes_.push_back(node);
+    slot = static_cast<uint32_t>(nodes_.size());
+  }
+  return slot - 1;
 }
 
 ExprId ExprArena::Attr(std::string_view name) {

@@ -9,12 +9,14 @@
 #ifndef PSEM_LATTICE_EXPR_H_
 #define PSEM_LATTICE_EXPR_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/interner.h"
@@ -160,33 +162,25 @@ class ExprArena {
  private:
   struct Node {
     ExprKind kind;
-    AttrId attr;  // valid iff kind == kAttr
-    ExprId lhs;
+    AttrId attr;  // valid iff kind == kAttr; 0 otherwise
+    ExprId lhs;   // kNoExpr for a leaf
     ExprId rhs;
-    uint32_t complexity;
+    uint32_t complexity;  // a function of the key, so == compares keys
+    bool operator==(const Node&) const = default;
   };
 
   ExprId InternNode(ExprKind kind, AttrId attr, ExprId l, ExprId r);
+  // The hash-cons key: (kind, lhs, rhs) for an operator, (kind, attr) for a
+  // leaf.
+  static uint64_t KeyHash(const Node& n) {
+    const uint64_t a = n.kind == ExprKind::kAttr ? n.attr : n.lhs;
+    return MixHash((a << 32 | n.rhs) ^
+                   static_cast<uint64_t>(n.kind) * 0x9e3779b97f4a7c15ull);
+  }
   static bool Never(ExprId) { return false; }
 
   std::vector<Node> nodes_;
-  // key: kind in top 2 bits semantics folded via tuple hash below.
-  struct NodeKey {
-    ExprKind kind;
-    uint32_t a;
-    uint32_t b;
-    bool operator==(const NodeKey&) const = default;
-  };
-  struct NodeKeyHash {
-    std::size_t operator()(const NodeKey& k) const {
-      uint64_t h = static_cast<uint64_t>(k.kind);
-      h = h * 0x9e3779b97f4a7c15ull + k.a;
-      h = h * 0x9e3779b97f4a7c15ull + k.b;
-      h ^= h >> 29;
-      return static_cast<std::size_t>(h);
-    }
-  };
-  std::unordered_map<NodeKey, ExprId, NodeKeyHash> intern_;
+  FlatIdIndex intern_;  // the hash-cons table, over nodes_
   StringInterner attr_names_;
   std::vector<ExprId> attr_expr_;  // attr id -> expr id of its leaf node
 };
@@ -243,27 +237,37 @@ template <typename T, typename Leaf, typename Op>
 Result<T> FoldPostOrder(const ExprArena& arena, ExprId root, Leaf leaf,
                         Op op) {
   const std::vector<ExprId> order = arena.PostOrder(root);
-  // Reads still due per value: one per parent edge, one for the caller.
-  std::unordered_map<ExprId, uint32_t> reads{{root, 1}};
+  // Values, and the reads still due (one per parent edge, one for the
+  // caller), live at their node's position in the walk, found by binary
+  // search over (ExprId, position) pairs: `op` may grow the arena.
+  std::vector<std::pair<ExprId, uint32_t>> at(order.size());
+  for (uint32_t p = 0; p < order.size(); ++p) at[p] = {order[p], p};
+  std::sort(at.begin(), at.end());
+  auto pos = [&](ExprId e) {
+    return std::lower_bound(at.begin(), at.end(), std::pair(e, 0u))->second;
+  };
+  std::vector<uint32_t> reads(order.size(), 0);
+  reads.back() = 1;  // the root, last in the walk
   for (ExprId e : order) {
     if (arena.IsAttr(e)) continue;
-    ++reads[arena.LhsOf(e)];
-    ++reads[arena.RhsOf(e)];
+    ++reads[pos(arena.LhsOf(e))];
+    ++reads[pos(arena.RhsOf(e))];
   }
-  std::unordered_map<ExprId, T> vals;
-  for (ExprId e : order) {
+  std::vector<std::optional<T>> vals(order.size());
+  for (uint32_t p = 0; p < order.size(); ++p) {
+    const ExprId e = order[p];
     if (arena.IsAttr(e)) {
       PSEM_ASSIGN_OR_RETURN(T v, leaf(e));
-      vals.emplace(e, std::move(v));
+      vals[p].emplace(std::move(v));
       continue;
     }
-    const ExprId l = arena.LhsOf(e), r = arena.RhsOf(e);
-    vals.emplace(e, op(e, vals.at(l), vals.at(r)));
-    for (ExprId child : {l, r}) {
-      if (--reads[child] == 0) vals.erase(child);
+    const uint32_t l = pos(arena.LhsOf(e)), r = pos(arena.RhsOf(e));
+    vals[p].emplace(op(e, *vals[l], *vals[r]));
+    for (uint32_t child : {l, r}) {
+      if (--reads[child] == 0) vals[child].reset();
     }
   }
-  return std::move(vals.at(root));
+  return std::move(*vals.back());
 }
 
 /// The dual of an expression: swap every * with + (and vice versa). The

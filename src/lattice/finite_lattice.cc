@@ -4,6 +4,7 @@
 #include <cassert>
 #include <numeric>
 #include <set>
+#include <tuple>
 
 namespace psem {
 
@@ -15,7 +16,7 @@ FiniteLattice::FiniteLattice(std::vector<std::vector<LatticeElem>> meet,
   if (names_.empty()) {
     names_.reserve(meet_.size());
     for (std::size_t i = 0; i < meet_.size(); ++i) {
-      names_.push_back("e" + std::to_string(i));
+      names_.push_back('e' + std::to_string(i));
     }
   }
   assert(names_.size() == meet_.size());
@@ -258,8 +259,8 @@ FiniteLattice FiniteLattice::Restrict(
     old_to_new[elems[i]] = static_cast<LatticeElem>(i);
   }
   const std::size_t m = elems.size();
-  std::vector<std::vector<LatticeElem>> meet(m, std::vector<LatticeElem>(m));
-  std::vector<std::vector<LatticeElem>> join(m, std::vector<LatticeElem>(m));
+  std::vector<std::vector<LatticeElem>> meet(m, std::vector<LatticeElem>(m, 0));
+  std::vector<std::vector<LatticeElem>> join(m, std::vector<LatticeElem>(m, 0));
   std::vector<std::string> names(m);
   for (std::size_t i = 0; i < m; ++i) {
     names[i] = names_[elems[i]];

@@ -39,10 +39,10 @@ void RootRewrites(ExprArena* arena, ExprId e, const std::vector<Pd>& equations,
   for (std::size_t i = 0; i < equations.size(); ++i) {
     const Pd& pd = equations[i];
     if (e == pd.lhs && arena->TreeSize(pd.rhs) <= max_size) {
-      out->push_back({pd.rhs, "E" + std::to_string(i + 1) + " ->"});
+      out->push_back({pd.rhs, 'E' + std::to_string(i + 1) + " ->"});
     }
     if (pd.is_equation && e == pd.rhs && arena->TreeSize(pd.lhs) <= max_size) {
-      out->push_back({pd.lhs, "E" + std::to_string(i + 1) + " <-"});
+      out->push_back({pd.lhs, 'E' + std::to_string(i + 1) + " <-"});
     }
   }
 }

@@ -172,22 +172,13 @@ bool Partition::Leq(const Partition& other) const {
   return *this == Product(*this, other);
 }
 
-std::size_t Partition::Hash() const {
-  std::size_t h = 0x9e3779b97f4a7c15ull;
-  for (std::size_t i = 0; i < elems_.size(); ++i) {
-    h ^= elems_[i] + 0x9e3779b9u + (h << 6) + (h >> 2);
-    h ^= labels_[i] + 0x85ebca6bu + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
 std::string Partition::ToString() const {
   auto blocks = Blocks();
   std::string out = "{";
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     if (b > 0) out += " |";
     for (Elem e : blocks[b]) {
-      out += " " + std::to_string(e);
+      out += ' ' + std::to_string(e);
     }
   }
   out += " }";

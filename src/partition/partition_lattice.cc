@@ -90,7 +90,7 @@ Result<PartitionClosure> ClosePartitions(std::vector<Partition> atoms,
     elem_names[atom_elem[i]] = names[i];
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (elem_names[i].empty()) elem_names[i] = "p" + std::to_string(i);
+    if (elem_names[i].empty()) elem_names[i] = 'p' + std::to_string(i);
   }
   std::vector<Partition> sparse_elements;
   sparse_elements.reserve(n);

@@ -68,19 +68,17 @@ std::string Relation::ToString(const Universe& universe,
       widths[c] = std::max(widths[c], symbols.NameOf(t[c]).size());
     }
   }
-  auto pad = [](const std::string& s, std::size_t w) {
-    return s + std::string(w - s.size(), ' ');
-  };
   std::string out = schema_.name + ":\n ";
-  for (std::size_t c = 0; c < arity(); ++c) {
-    out += " " + pad(headers[c], widths[c]);
-  }
+  auto cell = [&](const std::string& s, std::size_t c) {
+    out += ' ';
+    out += s;
+    out.append(widths[c] - s.size(), ' ');
+  };
+  for (std::size_t c = 0; c < arity(); ++c) cell(headers[c], c);
   out += "\n";
   for (const Tuple& t : rows_) {
     out += " ";
-    for (std::size_t c = 0; c < arity(); ++c) {
-      out += " " + pad(symbols.NameOf(t[c]), widths[c]);
-    }
+    for (std::size_t c = 0; c < arity(); ++c) cell(symbols.NameOf(t[c]), c);
     out += "\n";
   }
   return out;

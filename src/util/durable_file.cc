@@ -27,10 +27,10 @@ Status ErrnoStatus(const char* op, const std::string& path) {
 
 /// fsync the directory containing `path` so the rename itself is durable.
 Status FsyncParentDir(const std::string& path) {
-  std::string dir;
-  auto slash = path.find_last_of('/');
-  dir = (slash == std::string::npos) ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  const auto slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return ErrnoStatus("open(dir)", dir);
   int rc = ::fsync(fd);

@@ -32,6 +32,34 @@ TEST(ExprArenaTest, HashConsingGivesStructuralIdentity) {
   EXPECT_NE(ab1, ba);  // no commutativity at the syntax level
   ExprId s = a.Sum(a.Attr("A"), a.Attr("B"));
   EXPECT_NE(ab1, s);  // operators distinguished
+  EXPECT_EQ(std::set<ExprId>({a.Attr("A"), ab1, ba, s}).size(), 4u);
+
+  // Across many growths of the table, a new node gets the next dense id,
+  // and re-interning returns the same id and adds no node.
+  const ExprId x = a.Attr("A"), y = a.Attr("B");
+  std::vector<ExprId> built;
+  ExprId acc = ba;
+  for (int i = 0; i < 50000; ++i) {
+    const ExprId next = static_cast<ExprId>(a.size());
+    acc = a.Product(acc, y);
+    ASSERT_EQ(acc, next);
+    built.push_back(acc);
+    built.push_back(a.Sum(acc, x));
+    ASSERT_EQ(built.back(), next + 1);
+  }
+  const std::size_t size = a.size();
+  EXPECT_EQ(size, 5u + 100000u);
+  acc = ba;
+  for (int i = 0; i < 50000; ++i) {
+    acc = a.Product(acc, y);
+    ASSERT_EQ(acc, built[2 * i]);
+    ASSERT_EQ(a.Sum(acc, x), built[2 * i + 1]);
+  }
+  EXPECT_EQ(a.Attr("A"), x);
+  EXPECT_EQ(a.Product(x, y), ab1);
+  EXPECT_EQ(a.Sum(x, y), s);
+  EXPECT_EQ(a.Product(y, x), ba);
+  EXPECT_EQ(a.size(), size);
 }
 
 TEST(ExprArenaTest, ComplexityCountsOperators) {
@@ -143,6 +171,28 @@ TEST(ExprArenaTest, PostOrderYieldsDistinctNodesChildrenFirst) {
   // A node `stop` accepts is yielded as a leaf: A and B are never reached.
   EXPECT_EQ(a.PostOrder(f, [&](ExprId x) { return x == ab; }),
             (std::vector<ExprId>{attr_c, ab, f}));
+}
+
+// A fold stops at the first failing leaf in walk order (lhs subtree
+// first), whatever the leaves' ids; a shared node is folded once.
+TEST(ExprArenaTest, FoldPostOrderReturnsTheFirstFailingLeafInWalkOrder) {
+  ExprArena a;
+  const ExprId attr_a = a.Attr("A");  // A's id is below B's
+  const ExprId e = *a.Parse("(B*C)*(A+B*C)");
+  auto leaf = [&](ExprId x) -> Result<int> {
+    if (x == attr_a || a.AttrName(a.AttrOf(x)) == "B") {
+      return Status::InvalidArgument(a.AttrName(a.AttrOf(x)));
+    }
+    return 1;
+  };
+  auto count = [](ExprId, int l, int r) { return l + r + 1; };
+  Result<int> failed = FoldPostOrder<int>(a, e, leaf, count);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().message(), "B");
+  Result<int> size = FoldPostOrder<int>(
+      a, e, [](ExprId) -> Result<int> { return 1; }, count);
+  ASSERT_TRUE(size.ok());
+  EXPECT_EQ(*size, static_cast<int>(a.TreeSize(e)));
 }
 
 TEST(ExprArenaTest, ComplexityAndTreeSizeSaturateAndNeverShrink) {

@@ -1,8 +1,8 @@
 // libFuzzer harness for the CSV reader. Contract: arbitrary bytes either
 // load into a fresh relation or return a clean kInvalidArgument Status;
 // the database is never left half-mutated (all-or-nothing), and a
-// successful load must survive a dump/re-load round trip with the same
-// shape.
+// successful load must survive a dump/re-load round trip: the same header
+// names and the same rows in the same order, compared by symbol name.
 //
 // Build: cmake -DPSEM_FUZZ=ON (requires Clang); run:
 //   ./build/tests/fuzz/fuzz_csv tests/fuzz/corpus/csv -max_total_time=60
@@ -32,6 +32,20 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const psem::Relation& rel2 = db2.relation(*r2);
   if (rel2.arity() != rel.arity() || rel2.size() != rel.size()) {
     __builtin_trap();
+  }
+  for (std::size_t c = 0; c < rel.arity(); ++c) {
+    if (db.universe().NameOf(rel.schema().attrs[c]) !=
+        db2.universe().NameOf(rel2.schema().attrs[c])) {
+      __builtin_trap();
+    }
+  }
+  for (std::size_t i = 0; i < rel.size(); ++i) {
+    for (std::size_t c = 0; c < rel.arity(); ++c) {
+      if (db.symbols().NameOf(rel.rows()[i][c]) !=
+          db2.symbols().NameOf(rel2.rows()[i][c])) {
+        __builtin_trap();
+      }
+    }
   }
   return 0;
 }

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -214,6 +216,79 @@ TEST(ImplicationTest, CopyOutlivesItsSource) {
       EXPECT_EQ(copy.Implies(q), cold.Implies(q)) << arena.ToString(q);
     }
   }
+}
+
+// V's index is an array over the ExprIds the arena held when V last grew,
+// so the ExprIds of a query interned later lie past its end: they are not
+// in V yet. Implies and BatchImplies extend V to a cold engine's
+// verdicts, and a copy of the engine answers as its source does.
+TEST(ImplicationTest, QueriesInternedAfterVLastGrew) {
+  ExprArena arena;
+  const std::vector<Pd> e = {*arena.ParsePd("A <= B*C"),
+                             *arena.ParsePd("C = A+D")};
+  PdImplicationEngine single(&arena, e), batch(&arena, e);
+  single.Prepare({});
+  batch.Prepare({});
+  PdImplicationEngine copy = single;
+  const std::size_t known = arena.size();
+  std::vector<Pd> late;
+  for (const char* text : {"A+E <= C+E", "E*F <= A", "B*E = A*E",
+                           "A*(D+F) <= C", "F = F*F", "C+E <= (A+D)+E"}) {
+    late.push_back(*arena.ParsePd(text));
+    ASSERT_GE(std::max(late.back().lhs, late.back().rhs), known) << text;
+  }
+  late.push_back(*arena.ParsePd("A <= B"));  // both sides already in V
+  const std::vector<bool> batched = batch.BatchImplies(late);
+  ASSERT_EQ(batched.size(), late.size());
+  for (std::size_t i = 0; i < late.size(); ++i) {
+    const bool cold = PdImplicationEngine(&arena, e).Implies(late[i]);
+    EXPECT_EQ(single.Implies(late[i]), cold) << arena.ToString(late[i]);
+    EXPECT_EQ(copy.Implies(late[i]), cold) << arena.ToString(late[i]);
+    EXPECT_EQ(batched[i], cold) << arena.ToString(late[i]);
+  }
+}
+
+// E's index is a FlatIdIndex over constraints(). Across many table
+// growths it finds exactly the constraints added, and Leq(a, b),
+// Eq(a, b) and Leq(b, a) are three different ones.
+TEST(ImplicationTest, ConstraintIndexIsExactAcrossGrowth) {
+  ExprArena arena;
+  std::vector<ExprId> attrs;
+  for (int i = 0; i < 100; ++i) {
+    const std::string num = std::to_string(i);
+    attrs.push_back(arena.Attr("A" + num));
+  }
+  // The three forms over the pair (i, j); form t is left out of E when
+  // (7i + j + t) % 4 == 0.
+  auto forms = [&](int i, int j) {
+    const ExprId a = attrs[i], b = attrs[j];
+    return std::array{Pd::Leq(a, b), Pd::Eq(a, b), Pd::Leq(b, a)};
+  };
+  auto in_e = [](int i, int j, int t) { return (7 * i + j + t) % 4 != 0; };
+  PdImplicationEngine engine(&arena, {});
+  std::vector<Pd> added;
+  for (int i = 0; i < 100; ++i) {
+    for (int j = i + 1; j < 100; ++j) {
+      for (int t = 0; t < 3; ++t) {
+        if (!in_e(i, j, t)) continue;
+        engine.AddConstraint(forms(i, j)[t]);
+        added.push_back(forms(i, j)[t]);
+      }
+    }
+  }
+  ASSERT_GT(added.size(), 10000u);
+  EXPECT_EQ(engine.constraints(), added);
+  for (int i = 0; i < 100; ++i) {
+    for (int j = i + 1; j < 100; ++j) {
+      for (int t = 0; t < 3; ++t) {
+        ASSERT_EQ(engine.HasConstraint(forms(i, j)[t]), in_e(i, j, t))
+            << i << " " << j << " " << t;
+      }
+      ASSERT_FALSE(engine.HasConstraint(Pd::Eq(attrs[j], attrs[i])));
+    }
+  }
+  for (const Pd& pd : added) engine.AddConstraint(pd);
+  EXPECT_EQ(engine.constraints(), added);
 }
 
 // --- random generators --------------------------------------------------------

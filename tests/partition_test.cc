@@ -111,10 +111,10 @@ TEST(PartitionTest, ToString) {
   EXPECT_EQ(P({{1, 2}, {3}}).ToString(), "{ 1 2 | 3 }");
 }
 
-TEST(PartitionTest, HashConsistentWithEquality) {
+TEST(PartitionTest, EqualityIgnoresBlockAndElementOrder) {
   Partition a = P({{1, 2}, {3}});
   Partition b = P({{3}, {2, 1}});
-  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_EQ(a, b);
 }
 
 // --- property tests: the partitions over a population form a lattice -------
