@@ -25,8 +25,7 @@ constexpr std::size_t kCheckStride = 256;
 
 // The constraint index's key: (lhs, rhs, is_equation).
 uint64_t ConstraintHash(const Pd& pd) {
-  return MixHash((uint64_t{pd.lhs} << 32 | pd.rhs) ^
-                 (pd.is_equation ? 0x9e3779b97f4a7c15ull : 0));
+  return MixHash(pd.lhs, pd.rhs, pd.is_equation);
 }
 
 }  // namespace

@@ -75,7 +75,9 @@ std::size_t EncodeGraphRelation(const Graph& g, Database* db,
   std::size_t ri = db->AddRelation(rel_name, {a_name, b_name, c_name});
   Relation& r = db->relation(ri);
   auto vname = [&](uint32_t v) { return 'v' + std::to_string(v); };
-  auto cname = [&](uint32_t v) { return std::string("comp").append(std::to_string(comp[v])); };
+  auto cname = [&](uint32_t v) {
+    return std::string("comp").append(std::to_string(comp[v]));
+  };
   std::vector<bool> seen(g.num_vertices(), false);
   for (auto [u, v] : g.edges()) {
     r.AddRow(&db->symbols(), {vname(u), vname(v), cname(u)});

@@ -173,9 +173,8 @@ class ExprArena {
   // The hash-cons key: (kind, lhs, rhs) for an operator, (kind, attr) for a
   // leaf.
   static uint64_t KeyHash(const Node& n) {
-    const uint64_t a = n.kind == ExprKind::kAttr ? n.attr : n.lhs;
-    return MixHash((a << 32 | n.rhs) ^
-                   static_cast<uint64_t>(n.kind) * 0x9e3779b97f4a7c15ull);
+    return MixHash(n.kind == ExprKind::kAttr ? n.attr : n.lhs, n.rhs,
+                   static_cast<uint64_t>(n.kind));
   }
   static bool Never(ExprId) { return false; }
 
@@ -237,37 +236,40 @@ template <typename T, typename Leaf, typename Op>
 Result<T> FoldPostOrder(const ExprArena& arena, ExprId root, Leaf leaf,
                         Op op) {
   const std::vector<ExprId> order = arena.PostOrder(root);
-  // Values, and the reads still due (one per parent edge, one for the
-  // caller), live at their node's position in the walk, found by binary
+  // Each node's value, and the reads still due (one per parent edge, one
+  // for the caller), sit at its position in the walk, found by binary
   // search over (ExprId, position) pairs: `op` may grow the arena.
   std::vector<std::pair<ExprId, uint32_t>> at(order.size());
   for (uint32_t p = 0; p < order.size(); ++p) at[p] = {order[p], p};
   std::sort(at.begin(), at.end());
-  auto pos = [&](ExprId e) {
-    return std::lower_bound(at.begin(), at.end(), std::pair(e, 0u))->second;
+  struct Slot {
+    uint32_t reads = 0;
+    std::optional<T> val;
   };
-  std::vector<uint32_t> reads(order.size(), 0);
-  reads.back() = 1;  // the root, last in the walk
+  std::vector<Slot> slots(order.size());
+  auto slot = [&](ExprId e) -> Slot& {
+    return slots[std::lower_bound(at.begin(), at.end(), std::pair(e, 0u))->second];
+  };
+  slots.back().reads = 1;  // the root, last in the walk
   for (ExprId e : order) {
     if (arena.IsAttr(e)) continue;
-    ++reads[pos(arena.LhsOf(e))];
-    ++reads[pos(arena.RhsOf(e))];
+    ++slot(arena.LhsOf(e)).reads;
+    ++slot(arena.RhsOf(e)).reads;
   }
-  std::vector<std::optional<T>> vals(order.size());
   for (uint32_t p = 0; p < order.size(); ++p) {
     const ExprId e = order[p];
     if (arena.IsAttr(e)) {
       PSEM_ASSIGN_OR_RETURN(T v, leaf(e));
-      vals[p].emplace(std::move(v));
+      slots[p].val.emplace(std::move(v));
       continue;
     }
-    const uint32_t l = pos(arena.LhsOf(e)), r = pos(arena.RhsOf(e));
-    vals[p].emplace(op(e, *vals[l], *vals[r]));
-    for (uint32_t child : {l, r}) {
-      if (--reads[child] == 0) vals[child].reset();
+    Slot &l = slot(arena.LhsOf(e)), &r = slot(arena.RhsOf(e));
+    slots[p].val.emplace(op(e, *l.val, *r.val));
+    for (Slot* child : {&l, &r}) {
+      if (--child->reads == 0) child->val.reset();
     }
   }
-  return std::move(*vals.back());
+  return std::move(*slots.back().val);
 }
 
 /// The dual of an expression: swap every * with + (and vice versa). The

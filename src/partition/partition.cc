@@ -172,6 +172,15 @@ bool Partition::Leq(const Partition& other) const {
   return *this == Product(*this, other);
 }
 
+std::size_t Partition::Hash() const {
+  std::size_t h = 0x9e3779b97f4a7c15ull;
+  for (std::size_t i = 0; i < elems_.size(); ++i) {
+    h ^= elems_[i] + 0x9e3779b9u + (h << 6) + (h >> 2);
+    h ^= labels_[i] + 0x85ebca6bu + (h << 6) + (h >> 2);
+  }
+  return h;
+}
+
 std::string Partition::ToString() const {
   auto blocks = Blocks();
   std::string out = "{";

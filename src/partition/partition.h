@@ -100,6 +100,8 @@ class Partition {
     return elems_ == other.elems_ && labels_ == other.labels_;
   }
 
+  std::size_t Hash() const;
+
   /// "{1 2 | 3} over {1 2 3}" style rendering.
   std::string ToString() const;
 
@@ -109,6 +111,11 @@ class Partition {
   std::vector<Elem> elems_;       // sorted ascending
   std::vector<uint32_t> labels_;  // parallel, canonical
   uint32_t num_blocks_ = 0;
+};
+
+/// Hash functor for unordered containers of Partition.
+struct PartitionHash {
+  std::size_t operator()(const Partition& p) const { return p.Hash(); }
 };
 
 }  // namespace psem

@@ -289,6 +289,16 @@ class DynamicBitset {
     }
   }
 
+  /// Hash suitable for unordered containers.
+  std::size_t Hash() const {
+    std::size_t h = 0xcbf29ce484222325ull;
+    for (uint64_t w : words_) {
+      h ^= static_cast<std::size_t>(w);
+      h *= 0x100000001b3ull;
+    }
+    return h;
+  }
+
  private:
   // In-register transpose of a 64x64 bit tile (bit c of a[r] <-> bit r of
   // a[c]): six rounds, each swapping the off-diagonal j x j sub-blocks of

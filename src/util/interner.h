@@ -26,6 +26,11 @@ inline uint64_t MixHash(uint64_t h) {
   return h;
 }
 
+/// MixHash of two 32-bit ids and a small tag (a kind, a flag) in one word.
+inline uint64_t MixHash(uint32_t a, uint32_t b, uint64_t tag) {
+  return MixHash((uint64_t{a} << 32 | b) ^ tag * 0x9e3779b97f4a7c15ull);
+}
+
 /// A hash index over dense ids 0..n-1 whose keys live in the owner (the
 /// strings of a StringInterner, the rows of a Relation). An open-addressing
 /// table of `id + 1` slots (0 = empty): power-of-two size, linear probing,

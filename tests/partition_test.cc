@@ -111,10 +111,10 @@ TEST(PartitionTest, ToString) {
   EXPECT_EQ(P({{1, 2}, {3}}).ToString(), "{ 1 2 | 3 }");
 }
 
-TEST(PartitionTest, EqualityIgnoresBlockAndElementOrder) {
+TEST(PartitionTest, HashConsistentWithEquality) {
   Partition a = P({{1, 2}, {3}});
   Partition b = P({{3}, {2, 1}});
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.Hash(), b.Hash());
 }
 
 // --- property tests: the partitions over a population form a lattice -------

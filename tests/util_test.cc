@@ -400,11 +400,12 @@ TEST(BitsetTest, CountNewKernelsOnZeroLengthSets) {
   EXPECT_EQ(a.size(), 0u);
 }
 
-TEST(BitsetTest, Equality) {
+TEST(BitsetTest, EqualityAndHash) {
   DynamicBitset a(66), b(66);
   a.Set(65);
   b.Set(65);
   EXPECT_EQ(a, b);
+  EXPECT_EQ(a.Hash(), b.Hash());
   b.Set(0);
   EXPECT_FALSE(a == b);
 }
