@@ -175,7 +175,7 @@ void BM_IncrementalChainWrite(benchmark::State& state) {
   state.counters["arcs"] = static_cast<double>(arcs);
   state.SetComplexityN(n);
 }
-BENCHMARK(BM_IncrementalChainWrite)->Arg(1024)->Arg(4096)
+BENCHMARK(BM_IncrementalChainWrite)->Arg(1024)->Arg(2048)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 // Repeated queries against one prepared engine (the amortized mode).

@@ -75,12 +75,22 @@ void PdImplicationEngine::AddVertices(std::span<const ExprId> exprs) {
   }
 }
 
-void PdImplicationEngine::TrySetArc(uint32_t i, uint32_t m) {
-  if (up_[i].Test(m)) return;
+void PdImplicationEngine::UntagFrontier(uint32_t i) {
+  if (!tagged_rows_.Test(i)) return;
+  tag_[i] = delta_up_[i];
+  tagged_rows_.Reset(i);
+}
+
+bool PdImplicationEngine::TrySetArc(uint32_t i, uint32_t m) {
+  if (up_[i].Test(m)) return false;
   up_[i].Set(m);
+  UntagFrontier(i);
+  if (delta_up_[i].size() == 0) delta_up_[i] = DynamicBitset(up_[i].size());
   delta_up_[i].Set(m);
+  frontier_from_[i] = std::min<uint32_t>(frontier_from_[i], m >> 6);
   dirty_rows_.Set(i);
   ++arc_count_;
+  return true;
 }
 
 Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
@@ -114,13 +124,15 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
   // way the unplanted constraints then get their arcs. The worklist ends
   // up holding exactly the dirty frontier. A resumed closure
   // (seeded_vertices_ == n after an abort) skips the vertex seeding: the
-  // unconsumed deltas and dirty rows persisted across the abort.
+  // unconsumed deltas and dirty rows persisted across the abort. Frontier
+  // and tag rows exist only while they hold bits, so after a completed
+  // closure there are none to widen.
   const std::size_t old_n = seeded_vertices_;
   if (old_n < n) {
     for (std::size_t i = 0; i < old_n; ++i) {
       up_[i].Resize(n);
-      delta_up_[i].Resize(n);
       down_[i].Resize(n);
+      if (delta_up_[i].size() != 0) delta_up_[i].Resize(n);
       if (tag_[i].size() != 0) tag_[i].Resize(n);
     }
     up_.resize(n);
@@ -128,9 +140,10 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
     down_.resize(n);
     tag_.resize(n);
     dirty_rows_.Resize(n);
+    tagged_rows_.Resize(n);
+    frontier_from_.resize(n, 0);
     for (std::size_t i = old_n; i < n; ++i) {
       up_[i] = DynamicBitset(n);
-      delta_up_[i] = DynamicBitset(n);
       down_[i] = DynamicBitset(n);
       TrySetArc(static_cast<uint32_t>(i), static_cast<uint32_t>(i));
     }
@@ -217,13 +230,18 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
     return st;
   }
 #ifndef NDEBUG
-  // Audit the incremental counter against a one-off recount, and check
-  // that a closed engine holds no tag rows (debug builds only — never a
-  // per-pass scan).
+  // Audit the incremental counters against a one-off recount, and check
+  // that a closed engine holds no frontier or tag rows (debug builds only
+  // — never a per-pass scan).
   std::size_t audit = 0;
   for (const DynamicBitset& row : up_) audit += row.Count();
   assert(audit == arc_count_);
-  for (const DynamicBitset& tags : tag_) assert(tags.size() == 0);
+  assert(consumed_ == arc_count_);
+  for (std::size_t i = 0; i < n; ++i) {
+    assert(delta_up_[i].size() == 0);
+    assert(tag_[i].size() == 0);
+  }
+  assert(tagged_rows_.None());
 #endif
   closure_valid_ = true;
   return Status::OK();
@@ -232,12 +250,16 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
 // Serial semi-naive driver. Loop invariant, held at every round boundary
 // and across aborts:
 //   (a) delta_up_[i] ⊆ up_[i] and holds exactly row i's unconsumed arcs;
+//       a row of width 0 holds none;
 //   (b) dirty_rows_.Test(i) whenever delta_up_[i] is nonempty;
 //   (c) down_[j] ∋ i exactly for the *consumed* arcs (i, j);
-//   (d) arc_count_ == |up_| (each up_ bit transition bumped it once);
-//   (e) tag_[p] ⊆ delta_up_[p], and every g ∈ tag_[p] has a witness s
-//       with (p, s) and (s, g) both consumed: the sparse backward join
-//       of row s tags what it leaves on the frontier of p ∈ down_[s].
+//   (d) arc_count_ == |up_| (each up_ bit transition bumped it once), and
+//       arc_count_ - consumed_ == Σ|delta_up_[i]|, the pending frontier;
+//   (e) the tagged bits of row p — all of delta_up_[p] if
+//       tagged_rows_.Test(p), else tag_[p] — are a subset of delta_up_[p],
+//       and every tagged g has a witness s with (p, s) and (s, g) both
+//       consumed: the sparse backward join of row s tags what it leaves
+//       on the frontier of p ∈ down_[s].
 // Every consequence of a consumed arc is either derived at consumption
 // time (forward transitivity, per-arc column rules) or guaranteed to be
 // derived when a future delta is consumed (backward transitivity through
@@ -267,21 +289,24 @@ Status PdImplicationEngine::DeltaFixpointSerial(const ExecContext& ctx) {
     dirty_rows_.ForEach(
         [&](std::size_t i) { worklist.push_back(static_cast<uint32_t>(i)); });
 
-    // Mode switch on measured frontier density, with an early exit once
-    // the pending mass crosses the dense threshold.
-    bool dense = false;
-    if (worklist.size() >= options_.dense_min_rows) {
-      const std::size_t threshold =
-          worklist.size() * (n / std::max<std::size_t>(1, options_.dense_inv_density) + 1);
-      std::size_t pending = 0;
-      for (uint32_t i : worklist) {
-        pending += delta_up_[i].Count();
-        if (pending >= threshold) {
-          dense = true;
-          break;
-        }
-      }
+    // Mode switch on the pending frontier, read from the exact counters:
+    // dense when enough rows are dirty and they average at least
+    // |V|/dense_inv_density unconsumed arcs each.
+    const std::size_t pending = arc_count_ - consumed_;
+#ifndef NDEBUG
+    std::size_t recount = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      recount += delta_up_[i].Count();
+      assert(delta_up_[i].None() || dirty_rows_.Test(i));
+      assert(!tagged_rows_.Test(i) ||
+             (delta_up_[i].Any() && tag_[i].size() == 0));
     }
+    assert(recount == pending);
+#endif
+    const bool dense =
+        worklist.size() >= options_.dense_min_rows &&
+        pending >= worklist.size() *
+                       (n / std::max<std::size_t>(1, options_.dense_inv_density) + 1);
     Status st = dense ? DenseRound(worklist, ctx)
                       : SparseRound(worklist, ctx, &consumed_strider);
     if (dense) {
@@ -308,29 +333,64 @@ Status PdImplicationEngine::DeltaFixpointSerial(const ExecContext& ctx) {
 //                 span, and tags what it leaves on p's frontier;
 //   rules 3/2   — every parent of i takes S (product) or S ∩ sibling row
 //                 (sum), word-parallel over the same span.
+// The drain costs what it touches: one scan, from frontier_from_[i], finds
+// the row's lowest bit and a forward cursor finds the rest (it steps back
+// only when the row's own frontier gains bits below it), and the
+// round-local rows S, `gained`, `pushed` and `landed` are all-zero between
+// uses and cleared over the words a use wrote, never at full width.
 Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
                                         const ExecContext& ctx,
                                         std::size_t* consumed_strider) {
   const std::size_t n = vertices_.size();
+  const std::size_t words = (n + 63) / 64;
   const bool governed = !ctx.unbounded();
   const auto rules_start = SteadyClock::now();
   DynamicBitset scratch(n);
   DynamicBitset gained(n);
   DynamicBitset pushed(n);
+  DynamicBitset landed(n);
+  // The occupied word span of up_[settled_row], the last settled source:
+  // a row off the worklist changes only by gaining frontier bits, which
+  // makes it dirty until it drains, so the span stays valid until then.
+  std::size_t settled_row = n;
+  WordRange settled_span;
   // Descending index order: AddVertices interns children before parents and
   // theories tend to be written low-to-high, so high rows settle first
   // and most consumptions below hit the settled-source fast path.
   for (std::size_t w = worklist.size(); w-- > 0;) {
     const uint32_t i = worklist[w];
-    if (delta_up_[i].None()) {  // drained by an earlier visit this round
+    DynamicBitset& delta = delta_up_[i];
+    std::size_t j =
+        delta.size() == 0 ? n : delta.NextSetBit(std::size_t{frontier_from_[i]} << 6);
+    assert(delta.size() == 0 || j == delta.NextSetBit(0));
+    frontier_from_[i] = 0;  // the row is freed below, or restored on abort
+    if (i == settled_row) settled_row = n;  // it is about to change
+    if (j >= n) {  // nothing pending (its dirty flag outlived its bits)
+      delta = DynamicBitset();
       dirty_rows_.Reset(i);
       continue;
     }
-    scratch.Clear();
-    std::size_t j;
-    while ((j = delta_up_[i].NextSetBit(0)) < n) {
-      delta_up_[i].Reset(j);
+    WordRange drained;      // the words of S
+    std::size_t taken = 0;  // |S|, counted consumed once the row drains
+    // A wholly tagged frontier skips its backward push but for the bits
+    // this visit adds, which are collected in `pushed` as they land.
+    const bool all_tagged = tagged_rows_.Test(i);
+    tagged_rows_.Reset(i);
+    DynamicBitset* added_bits = all_tagged ? &pushed : nullptr;
+    const std::size_t visit_start_arcs = arc_count_;
+    while (j < n) {
+      // Every frontier bit below `next` is consumed; a bit that lands
+      // below it moves it back.
+      std::size_t next = j + 1;
+      auto add_arc = [&](uint32_t m) {
+        if (!TrySetArc(i, m)) return;
+        next = std::min<std::size_t>(next, m);
+        if (added_bits) added_bits->Set(m);
+      };
+      delta.Reset(j);
       scratch.Set(j);
+      drained.Add(j >> 6);
+      ++taken;
       down_[j].Set(i);
       if (j != i) {
         if (!dirty_rows_.Test(j)) {
@@ -340,26 +400,37 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
           // (scatter + per-arc column rules) without their own forward
           // joins: anything row g learns later reaches row i through the
           // down_[g] backward join we are registering here.
-          gained.Clear();
-          std::size_t added = up_[i].OrInPlaceCountNew(up_[j], &gained);
+          if (j != settled_row) {
+            settled_row = j;
+            settled_span = up_[j].OccupiedWords();
+          }
+          WordRange fresh;
+          std::size_t added = up_[i].OrInPlaceCountNew(
+              up_[j], settled_span.first, settled_span.end, &gained, nullptr,
+              &fresh);
           if (added) {
             arc_count_ += added;
-            scratch.UnionWith(gained);
-            gained.ForEach([&](std::size_t g) {
+            taken += added;
+            scratch.OrWith(gained, fresh);
+            if (added_bits) added_bits->OrWith(gained, fresh);
+            drained.Add(fresh);
+            gained.ForEach(fresh, [&](std::size_t g) {
               down_[g].Set(i);
               for (const auto& [m, o] : parents_[g]) {
-                if (kind_[m] == ExprKind::kSum || up_[i].Test(o)) {
-                  TrySetArc(i, m);
-                }
+                if (kind_[m] == ExprKind::kSum || up_[i].Test(o)) add_arc(m);
               }
             });
+            gained.Clear(fresh);
           }
         } else {
-          arc_count_ += up_[i].OrInPlaceCountNew(up_[j], &delta_up_[i]);
+          WordRange fresh;
+          arc_count_ += up_[i].OrInPlaceCountNew(up_[j], 0, words, &delta,
+                                                 added_bits, &fresh);
+          if (!fresh.empty()) next = std::min(next, fresh.first << 6);
         }
       }
       for (const auto& [m, o] : parents_[j]) {
-        if (kind_[m] == ExprKind::kSum || up_[i].Test(o)) TrySetArc(i, m);
+        if (kind_[m] == ExprKind::kSum || up_[i].Test(o)) add_arc(m);
       }
       if (governed && (++*consumed_strider % kCheckStride) == 0) {
         Status st = ctx.Check();
@@ -369,49 +440,81 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
           // per-arc effects are idempotent, and the row-level pushes
           // below have not run for them yet — re-consuming on resume is
           // sound and completes the round. Rows after this one keep
-          // their dirty flags (only reset after a full drain).
-          delta_up_[i].UnionWith(scratch);
+          // their dirty flags (only reset after a full drain). A wholly
+          // tagged row keeps as tags exactly the bits it was tagged with.
+          delta.OrWith(scratch, drained);
+          // frontier_from_[i] is 0 since the visit began.
+          if (all_tagged) {
+            tag_[i] = DynamicBitset(n);
+            tag_[i].AssignDifference(delta, pushed, WordRange{0, words});
+          }
           stats_.rules_seconds += SecondsSince(rules_start);
           return st;
         }
       }
+      j = delta.NextSetBit(next);
     }
+    consumed_ += taken;
+    delta = DynamicBitset();
     // Rule 7, delta on the right: predecessors absorb the drained bits,
     // minus the tagged ones (invariant (e)); what they take is tagged in
     // turn. A tag row lives only while its row holds tagged bits.
-    const auto [first_word, end_word] = scratch.WordSpan();
     const DynamicBitset* push = &scratch;
-    if (tag_[i].size() != 0) {
-      pushed = scratch;
-      pushed.SubtractWith(tag_[i]);
+    bool any_push = true;
+    if (all_tagged) {
+      any_push = arc_count_ != visit_start_arcs;
+      push = &pushed;
+    } else if (tag_[i].size() != 0) {
+      any_push = pushed.AssignDifference(scratch, tag_[i], drained);
       push = &pushed;
       tag_[i] = DynamicBitset();
     }
-    if (push == &scratch || push->Any()) {
+    if (any_push) {
       for (std::size_t p = down_[i].NextSetBit(0); p < n;
            p = down_[i].NextSetBit(p + 1)) {
         if (p == i) continue;
+        // Most pushes add nothing, so the new bits land in `landed`
+        // first and reach p's frontier and tags only when there are some.
+        // A frontier this push starts is tagged whole; one that exists
+        // keeps its tags in tag_[p] unless it is wholly tagged already.
         std::size_t added = up_[p].OrInPlaceCountNew(
-            *push, first_word, end_word, &delta_up_[p], &tag_[p]);
-        if (added) {
-          arc_count_ += added;
-          dirty_rows_.Set(static_cast<uint32_t>(p));
+            *push, drained.first, drained.end, &landed);
+        if (!added) continue;
+        arc_count_ += added;
+        dirty_rows_.Set(static_cast<uint32_t>(p));
+        DynamicBitset& frontier = delta_up_[p];
+        if (frontier.size() == 0) {
+          frontier = DynamicBitset(n);
+          tagged_rows_.Set(static_cast<uint32_t>(p));
+          frontier_from_[p] = static_cast<uint32_t>(drained.first);
+        } else {
+          if (!tagged_rows_.Test(p)) {
+            if (tag_[p].size() == 0) tag_[p] = DynamicBitset(n);
+            tag_[p].OrWith(landed, drained);
+          }
+          frontier_from_[p] = std::min<uint32_t>(frontier_from_[p], drained.first);
         }
+        frontier.OrWith(landed, drained);
+        landed.Clear(drained);
       }
     }
-    // Rules 3/2: parents absorb the drained bits.
+    if (push == &pushed) pushed.Clear(drained);
+    // Rules 3/2: parents absorb the drained bits, untagged.
     for (const auto& [m, o] : parents_[i]) {
+      UntagFrontier(m);
       std::size_t added =
           kind_[m] == ExprKind::kProduct
-              ? up_[m].OrInPlaceCountNew(scratch, first_word, end_word,
+              ? up_[m].OrInPlaceCountNew(scratch, drained.first, drained.end,
                                          &delta_up_[m])
-              : up_[m].OrAndInPlaceCountNew(scratch, up_[o], first_word,
-                                            end_word, &delta_up_[m]);
+              : up_[m].OrAndInPlaceCountNew(scratch, up_[o], drained.first,
+                                            drained.end, &delta_up_[m]);
       if (added) {
         arc_count_ += added;
         dirty_rows_.Set(m);
+        frontier_from_[m] = std::min<uint32_t>(frontier_from_[m], drained.first);
       }
     }
+    scratch.Clear(drained);
     dirty_rows_.Reset(i);
   }
   stats_.rules_seconds += SecondsSince(rules_start);
@@ -433,21 +536,36 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
   const std::size_t words = (n + 63) / 64;
   const bool governed = !ctx.unbounded();
   // Only worklist rows get a carry; it is freed when the round returns,
-  // so a closed engine holds no dense-round scratch.
+  // so a closed engine holds no dense-round scratch. Freezing a row
+  // consumes its frontier; an abort puts it back.
   std::vector<DynamicBitset> carry(n);
   DynamicBitset carry_mask(n);
+  std::size_t frozen = 0;
   for (uint32_t i : worklist) {
-    carry[i] = std::exchange(delta_up_[i], DynamicBitset(n));
+    carry[i] = std::exchange(delta_up_[i], DynamicBitset());
     // A dense round pushes every carried bit backward, so tags are moot.
     tag_[i] = DynamicBitset();
-    if (carry[i].Any()) carry_mask.Set(i);
+    tagged_rows_.Reset(i);
+    frontier_from_[i] = 0;
+    const std::size_t bits = carry[i].Count();
+    frozen += bits;
+    if (bits != 0) carry_mask.Set(i);
     dirty_rows_.Reset(i);
   }
+  consumed_ += frozen;
+  // Every tagged row is dirty, so none is left: the untagged pushes below
+  // need no UntagFrontier.
+  assert(tagged_rows_.None());
   auto restore = [&] {
     for (uint32_t i : worklist) {
-      delta_up_[i].UnionWith(carry[i]);
+      if (delta_up_[i].size() == 0) {
+        delta_up_[i] = std::move(carry[i]);
+      } else if (carry[i].size() != 0) {
+        delta_up_[i].UnionWith(carry[i]);
+      }
       dirty_rows_.Set(i);
     }
+    consumed_ -= frozen;
   };
   auto governed_check = [&]() -> Status {
     Status st = ctx.Check();
@@ -516,6 +634,7 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
     for (std::size_t wk = 0; wk < words; ++wk) {
       for (std::size_t t = t0; t < t1; ++t) {
         const uint32_t i = worklist[t];
+        if (!carry_mask.Test(i)) continue;
         uint64_t w = carry[i].word(wk);
         while (w) {
           const std::size_t j =
@@ -567,6 +686,7 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
 
   // Rules 3/2: parents pull the frozen carries.
   for (uint32_t i : worklist) {
+    if (!carry_mask.Test(i)) continue;
     for (const auto& [m, o] : parents_[i]) {
       std::size_t added =
           kind_[m] == ExprKind::kProduct
@@ -693,9 +813,13 @@ Status PdImplicationEngine::RestoreEngineState(
   up_ = std::move(state.up);
   arc_count_ = state.arc_count;
   // Closed: every arc is consumed, so the frontier and worklist are empty
-  // and down_ is the full transpose of up_.
-  delta_up_.assign(n, DynamicBitset(n));
+  // (no frontier or tag row is allocated) and down_ is the full transpose
+  // of up_.
+  consumed_ = arc_count_;
+  delta_up_.assign(n, DynamicBitset());
   dirty_rows_ = DynamicBitset(n);
+  tagged_rows_ = DynamicBitset(n);
+  frontier_from_.assign(n, 0);
   tag_.assign(n, DynamicBitset());
   down_.assign(n, DynamicBitset(n));
   DynamicBitset::OrTransposeInto(up_, &down_);
@@ -704,6 +828,14 @@ Status PdImplicationEngine::RestoreEngineState(
   stats_.num_vertices = n;
   stats_.num_arcs = arc_count_;
   return Status::OK();
+}
+
+std::size_t PdImplicationEngine::CountFrontierRows() const {
+  std::size_t rows = 0;
+  for (std::size_t i = 0; i < delta_up_.size(); ++i) {
+    rows += delta_up_[i].size() != 0 || tag_[i].size() != 0;
+  }
+  return rows;
 }
 
 bool PdImplicationEngine::LeqInClosure(ExprId e1, ExprId e2) const {

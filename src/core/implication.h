@@ -86,7 +86,7 @@ struct AlgStats {
   // Wall-clock seconds per phase, accumulated over the engine's lifetime.
   double seed_seconds = 0.0;       ///< seeding reflexive + constraint arcs.
   double rules_seconds = 0.0;      ///< arc-rule sweeps (rules 2-5, 7).
-  double transpose_seconds = 0.0;  ///< row/column transposes + snapshots.
+  double transpose_seconds = 0.0;  ///< dense rounds' blocked transpose.
   double closure_seconds = 0.0;    ///< total time inside ComputeClosure.
 
   std::size_t cold_closures = 0;         ///< closures computed from seed.
@@ -108,10 +108,11 @@ struct AlgStats {
 struct EngineOptions {
   /// Sparse->dense switch: a delta round runs the blocked
   /// dense kernel when at least `dense_min_rows` rows are dirty AND the
-  /// pending frontier averages at least |V|/`dense_inv_density` arcs per
-  /// dirty row. The defaults keep chain-like closures (tiny per-row
-  /// deltas) permanently sparse; tests lower dense_min_rows to force the
-  /// dense kernel deterministically.
+  /// pending frontier (the unconsumed arcs, an exact running count read
+  /// in O(1)) averages at least |V|/`dense_inv_density` arcs per dirty
+  /// row. The defaults keep chain-like closures (tiny per-row deltas)
+  /// permanently sparse; tests lower dense_min_rows to force the dense
+  /// kernel deterministically.
   std::size_t dense_min_rows = 64;
   std::size_t dense_inv_density = 8;
 };
@@ -201,6 +202,12 @@ class PdImplicationEngine {
     return e < vertex_of_.size() ? vertex_of_[e] : kNoVertex;
   }
 
+  /// Rows that hold frontier or tag storage, by one scan of V: 0 whenever
+  /// the closure is closed (after Prepare, a completed query, or a
+  /// restore); only an aborted closure keeps rows, the frontier it resumes
+  /// from.
+  std::size_t CountFrontierRows() const;
+
   /// A view (valid until the engine next changes) of the closed arc rows,
   /// one per vertex in vertices() order, each |V| bits wide: by Lemma 9.2
   /// all of what E implies over V, and all a snapshot holds.
@@ -222,9 +229,10 @@ class PdImplicationEngine {
   /// vertices() guarantees, so the restored rows keep their indices,
   /// query-introduced vertices included), adds `constraints` to E through
   /// AddConstraint (so a repeated one is kept once), and installs the
-  /// rows as a closed closure with every constraint planted, an empty
-  /// frontier and down_ rebuilt as their transpose; stats() then report
-  /// the restored |V| and arc count. kDataLoss on
+  /// rows as a closed closure with every constraint planted, every arc
+  /// consumed, no frontier or tag row allocated, and down_ rebuilt as
+  /// their transpose; stats() then report the restored |V| and arc
+  /// count. kDataLoss on
   /// malformed input (the engine should then be discarded);
   /// kFailedPrecondition if the engine already has vertices.
   Status RestoreEngineState(const std::vector<ExprId>& vertex_order,
@@ -251,16 +259,20 @@ class PdImplicationEngine {
   // per-row new-arc frontier (delta_up_) of the rows on the worklist and
   // derives only from those deltas; an arc is consumed exactly once over
   // the whole closure. The driver picks per round between the sparse
-  // worklist kernel and the blocked 64-row-tile dense kernel on measured
-  // frontier density. See docs/architecture.md.
+  // worklist kernel and the blocked 64-row-tile dense kernel on the
+  // pending frontier, arc_count_ - consumed_. See docs/architecture.md.
   Status DeltaFixpointSerial(const ExecContext& ctx);
   Status SparseRound(const std::vector<uint32_t>& worklist,
                      const ExecContext& ctx, std::size_t* consumed_strider);
   Status DenseRound(const std::vector<uint32_t>& worklist,
                     const ExecContext& ctx);
   // Adds arc (i, m) unless present: sets the up_ bit, flags it
-  // unconsumed in delta_up_, and bumps the exact arc counter.
-  void TrySetArc(uint32_t i, uint32_t m);
+  // unconsumed in delta_up_ (materializing the row), and bumps the exact
+  // arc counter. Returns true iff the arc is new.
+  bool TrySetArc(uint32_t i, uint32_t m);
+  // Before an untagged bit lands on row i: a wholly tagged frontier moves
+  // its tags into tag_[i], so the new bit is not taken for a tagged one.
+  void UntagFrontier(uint32_t i);
 
   // The one place a query verdict is read: the bit tests of `query` when
   // the closure is closed and both sides are in V, nullopt otherwise.
@@ -300,20 +312,39 @@ class PdImplicationEngine {
   // Semi-naive frontier: delta_up_[i] holds the arcs of row i not yet
   // propagated (always a subset of up_[i]); dirty_rows_ flags rows with a
   // nonempty frontier and doubles as the persistent worklist, so aborted
-  // closures resume without reseeding.
+  // closures resume without reseeding. A frontier row has width 0 (no
+  // storage) until a bit lands on it; the kernels materialize it then, and
+  // it is freed when the row drains (or is frozen into a dense carry), so
+  // a closed engine holds none and growing V widens only live ones.
   std::vector<DynamicBitset> delta_up_;
+  // Where a drain's one scan of delta_up_[i] starts: a word index at or
+  // below the row's lowest frontier bit. A backward push that starts a
+  // frontier sets it to the push's first word, every other insertion
+  // lowers it to its own, and it is 0 for a row that holds no storage.
+  std::vector<uint32_t> frontier_from_;
   DynamicBitset dirty_rows_;
   // Frontier bits that need no backward push (invariant (e) in
   // DeltaFixpointSerial): bits row p took from the sparse round's
-  // backward join of some row s it had consumed an arc to. tag_[p] has
-  // width 0 (no storage) unless row p holds such bits, is always a subset
-  // of delta_up_[p], and is freed when row p drains, so a closed engine
-  // holds no tag rows.
+  // backward join of some row s it had consumed an arc to. When that
+  // join starts row p's frontier, the whole frontier is tagged and
+  // tagged_rows_ flags p instead of a tag row; an untagged bit landing on
+  // it later moves the tags into tag_[p] (UntagFrontier). Otherwise
+  // tag_[p] has width 0 (no storage) unless row p holds such bits, is
+  // always a subset of delta_up_[p], and is freed when row p drains, so a
+  // closed engine holds no tag rows and flags none.
   std::vector<DynamicBitset> tag_;
+  DynamicBitset tagged_rows_;
   // Exact running arc count: bumped once per up_ bit transition by the
   // OrInPlaceCountNew kernels and TrySetArc; replaces the per-pass
   // full-matrix count scans. Stays exact across aborted closures.
   std::size_t arc_count_ = 0;
+  // How many of those arcs are consumed, kept exact the same way: bumped
+  // when a sparse visit drains its row (the drained frontier bits plus the
+  // settled-source bits consumed on the spot) and when a dense round
+  // freezes its carries, undone by a dense abort's restore, and equal to
+  // arc_count_ after a restore. arc_count_ - consumed_ is the pending
+  // frontier the sparse/dense switch reads.
+  std::size_t consumed_ = 0;
   bool closure_valid_ = false;
   // Number of rows whose seed arcs (reflexive + constraints, or the
   // incremental composite catch-up) have been planted in the delta state.

@@ -9,10 +9,38 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace psem {
+
+/// A half-open range [first, end) of backing-word indices, empty when
+/// first == end: the words a span-bounded kernel reads or has written.
+struct WordRange {
+  std::size_t first = 0;
+  std::size_t end = 0;
+
+  bool empty() const { return first == end; }
+  /// Grows the range to cover word k.
+  void Add(std::size_t k) {
+    if (empty()) {
+      first = k;
+      end = k + 1;
+    } else {
+      first = std::min(first, k);
+      end = std::max(end, k + 1);
+    }
+  }
+  /// Grows the range to cover `other`.
+  void Add(const WordRange& other) {
+    if (other.empty()) return;
+    if (empty()) {
+      *this = other;
+    } else {
+      first = std::min(first, other.first);
+      end = std::max(end, other.end);
+    }
+  }
+};
 
 /// A bitset over {0, ..., n-1} with word-parallel set operations.
 class DynamicBitset {
@@ -44,13 +72,20 @@ class DynamicBitset {
     for (auto& w : words_) w = 0;
   }
 
+  /// Clears backing words range.first .. range.end - 1 only.
+  void Clear(WordRange range) {
+    assert(range.end <= words_.size() || range.empty());
+    for (std::size_t k = range.first; k < range.end; ++k) words_[k] = 0;
+  }
+
   /// Changes the universe to {0, ..., new_bits-1}. Growing preserves all
   /// bits (new positions start clear); shrinking drops the tail. Used by
   /// the incremental ALG closure when V gains vertices.
   void Resize(std::size_t new_bits) {
+    const bool shrink = new_bits < num_bits_;
     num_bits_ = new_bits;
     words_.resize((new_bits + 63) / 64, 0);
-    TrimTail();
+    if (shrink) TrimTail();  // growing: the old tail bits are already clear
   }
 
   void SetAll() {
@@ -93,24 +128,24 @@ class DynamicBitset {
   /// counter.
   std::size_t OrInPlaceCountNew(const DynamicBitset& other,
                                 DynamicBitset* newly = nullptr) {
-    return OrInPlaceCountNew(other, 0, words_.size(), newly, nullptr);
+    return OrInPlaceCountNew(other, 0, words_.size(), newly);
   }
 
   /// OrInPlaceCountNew over backing words [first_word, end_word) only. The
   /// caller promises `other` is empty outside that span, so the cost is
   /// proportional to other's occupied word span rather than the universe
-  /// size. Each newly set bit also goes into *newly_too when that is
-  /// non-null; a *newly_too of width 0 is materialized at this width (all
-  /// clear) on the first newly set bit, so a caller that tracks the new
-  /// bits of a row only when there are some allocates nothing otherwise.
+  /// size. Each newly set bit goes into *newly and into *newly_too when
+  /// those are non-null; an output of width 0 is materialized at this
+  /// width (all clear) on the first newly set bit, so a caller that keeps
+  /// the new bits of a row only while there are some allocates nothing
+  /// otherwise. `fresh_words`, when non-null, is extended by every word
+  /// that gained bits.
   std::size_t OrInPlaceCountNew(const DynamicBitset& other,
                                 std::size_t first_word, std::size_t end_word,
                                 DynamicBitset* newly,
-                                DynamicBitset* newly_too = nullptr) {
+                                DynamicBitset* newly_too = nullptr,
+                                WordRange* fresh_words = nullptr) {
     assert(num_bits_ == other.num_bits_);
-    assert(newly == nullptr || newly->num_bits_ == num_bits_);
-    assert(newly_too == nullptr || newly_too->num_bits_ == num_bits_ ||
-           newly_too->words_.empty());
     assert(first_word <= end_word && end_word <= words_.size());
     std::size_t added = 0;
     for (std::size_t k = first_word; k < end_word; ++k) {
@@ -120,11 +155,9 @@ class DynamicBitset {
       if (!fresh) continue;
       words_[k] |= fresh;
       added += static_cast<std::size_t>(__builtin_popcountll(fresh));
-      if (newly) newly->words_[k] |= fresh;
-      if (newly_too) {
-        if (newly_too->words_.empty()) *newly_too = DynamicBitset(num_bits_);
-        newly_too->words_[k] |= fresh;
-      }
+      if (newly) newly->OrWordOnDemand(k, fresh, num_bits_);
+      if (newly_too) newly_too->OrWordOnDemand(k, fresh, num_bits_);
+      if (fresh_words) fresh_words->Add(k);
     }
     return added;
   }
@@ -138,13 +171,13 @@ class DynamicBitset {
   }
 
   /// OrAndInPlaceCountNew over backing words [first_word, end_word) only;
-  /// (a AND b) must be empty outside that span.
+  /// (a AND b) must be empty outside that span. A `newly` of width 0 is
+  /// materialized on the first newly set bit, as in OrInPlaceCountNew.
   std::size_t OrAndInPlaceCountNew(const DynamicBitset& a,
                                    const DynamicBitset& b,
                                    std::size_t first_word, std::size_t end_word,
                                    DynamicBitset* newly = nullptr) {
     assert(num_bits_ == a.num_bits_ && num_bits_ == b.num_bits_);
-    assert(newly == nullptr || newly->num_bits_ == num_bits_);
     assert(first_word <= end_word && end_word <= words_.size());
     std::size_t added = 0;
     for (std::size_t k = first_word; k < end_word; ++k) {
@@ -154,7 +187,7 @@ class DynamicBitset {
       if (!fresh) continue;
       words_[k] |= fresh;
       added += static_cast<std::size_t>(__builtin_popcountll(fresh));
-      if (newly) newly->words_[k] |= fresh;
+      if (newly) newly->OrWordOnDemand(k, fresh, num_bits_);
     }
     return added;
   }
@@ -169,13 +202,35 @@ class DynamicBitset {
     for (std::size_t k = 0; k < words_.size(); ++k) words_[k] |= other.words_[k];
   }
 
-  /// The occupied backing-word span: the smallest [first, end) range of
-  /// words holding every set bit, or {0, 0} when none is set.
-  std::pair<std::size_t, std::size_t> WordSpan() const {
-    std::size_t first = 0, end = words_.size();
-    while (end > 0 && words_[end - 1] == 0) --end;
-    while (first < end && words_[first] == 0) ++first;
-    return {first, end};
+  /// OrWith over the backing words of `range` only.
+  void OrWith(const DynamicBitset& other, WordRange range) {
+    assert(num_bits_ == other.num_bits_);
+    assert(range.end <= words_.size() || range.empty());
+    for (std::size_t k = range.first; k < range.end; ++k) {
+      words_[k] |= other.words_[k];
+    }
+  }
+
+  /// Sets the words of `range` to a AND NOT b and leaves the other words
+  /// alone; returns true iff any bit of the result in `range` is set.
+  bool AssignDifference(const DynamicBitset& a, const DynamicBitset& b,
+                        WordRange range) {
+    assert(num_bits_ == a.num_bits_ && num_bits_ == b.num_bits_);
+    assert(range.end <= words_.size() || range.empty());
+    uint64_t any = 0;
+    for (std::size_t k = range.first; k < range.end; ++k) {
+      words_[k] = a.words_[k] & ~b.words_[k];
+      any |= words_[k];
+    }
+    return any != 0;
+  }
+
+  /// The smallest word range holding every set bit (empty when none is).
+  WordRange OccupiedWords() const {
+    WordRange range{0, words_.size()};
+    while (range.end > 0 && words_[range.end - 1] == 0) --range.end;
+    while (range.first < range.end && words_[range.first] == 0) ++range.first;
+    return range;
   }
 
   // Word-span iteration: the 64-bit backing words, for kernels (like the
@@ -249,6 +304,17 @@ class DynamicBitset {
     }
   }
 
+  /// ForEach over the set bits in the backing words of `range` only.
+  template <typename Fn>
+  void ForEach(WordRange range, Fn&& fn) const {
+    assert(range.end <= words_.size() || range.empty());
+    for (std::size_t k = range.first; k < range.end; ++k) {
+      for (uint64_t w = words_[k]; w; w &= w - 1) {
+        fn((k << 6) + static_cast<std::size_t>(__builtin_ctzll(w)));
+      }
+    }
+  }
+
   /// Blocked bit-matrix transpose: for every bit j of rows[i], sets bit i
   /// of (*cols)[j]. rows.size() must equal each column's width and
   /// cols->size() each row's width; a row of width 0 counts as all-zero
@@ -312,6 +378,14 @@ class DynamicBitset {
         a[k | j] ^= t;
       }
     }
+  }
+
+  // ORs `bits` into backing word k, first materializing a width-0 bitset
+  // at `num_bits` (all clear): the on-demand rows of the kernels above.
+  void OrWordOnDemand(std::size_t k, uint64_t bits, std::size_t num_bits) {
+    if (words_.empty()) *this = DynamicBitset(num_bits);
+    assert(num_bits_ == num_bits);
+    words_[k] |= bits;
   }
 
   void TrimTail() {

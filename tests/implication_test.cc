@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -575,6 +577,126 @@ TEST_P(ScaledIncrementalDifferentialTest, EveryStepMatchesAColdEngine) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScaledIncrementalDifferentialTest,
                          ::testing::Range(0, 10));
+
+// --- frontier accounting under sparse-round aborts --------------------------------
+//
+// Two chains A0 <= ... and B0 <= ..., long enough that a write's second
+// round consumes more arcs than the closure's poll stride (256). Their
+// cold closure runs under an arc budget one arc above the current count,
+// doubled after each trip: every row's OR grows the count, so the closure
+// stops again and again at a poll inside SparseRound and resumes from the
+// frontier the abort left. Then a stream extends chain A, links A(k) <=
+// B(j), adds implied shortcuts and asks composite queries over new
+// Ai*Ax / Bj+Ay sides, each under a deadline doubled from 1 µs after each
+// trip; those rounds only consume tagged bits and add no arcs, so only a
+// deadline stops them at a poll. After the cold closure and every
+// operation the engine must count arcs and answer as a cold engine over
+// the same E and V, and hold no frontier or tag rows; Debug builds also
+// recount the pending frontier at every round start.
+TEST(FrontierAccountingTest, SparseRoundAbortsResumeToTheColdClosure) {
+  constexpr int kChain = 400;
+  constexpr int kOps = 60;
+  ExprArena arena;
+  auto a = [&](int k) { return arena.Attr("A" + std::to_string(k)); };
+  auto b = [&](int k) { return arena.Attr("B" + std::to_string(k)); };
+  std::vector<Pd> e;
+  for (int k = 0; k + 1 < kChain; ++k) {
+    e.push_back(Pd::Leq(a(k), a(k + 1)));
+    e.push_back(Pd::Leq(b(k), b(k + 1)));
+  }
+  PdImplicationEngine engine(&arena, e);
+
+  // Runs `call` to completion, each attempt under a doubling arc budget
+  // above the current count or a doubling deadline; returns the verdict
+  // and counts the attempts that stopped inside a round (a round that
+  // stops early counts itself but records no arc delta).
+  std::size_t in_round_aborts = 0;
+  auto resume = [&](bool by_deadline, auto call) {
+    uint64_t slack = 1;
+    while (true) {
+      ExecContext ctx;
+      if (by_deadline) {
+        ctx.WithTimeout(std::chrono::microseconds(slack));
+      } else {
+        ctx.WithMaxArcs(engine.stats().num_arcs + slack);
+      }
+      Result<bool> r = call(ctx);
+      if (r.ok()) return *r;
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+      const AlgStats& st = engine.stats();
+      if (st.sparse_rounds + st.dense_rounds == st.pass_arc_delta.size() + 1) {
+        ++in_round_aborts;
+      }
+      slack *= 2;
+    }
+  };
+  auto prepare = [&](const ExecContext& ctx) -> Result<bool> {
+    PSEM_RETURN_IF_ERROR(engine.Prepare({}, ctx));
+    return true;
+  };
+  auto matches_cold = [&](const std::optional<Pd>& query, bool verdict,
+                          bool every_pair) {
+    PdImplicationEngine cold(&arena, e);
+    cold.Prepare(engine.vertices());
+    EXPECT_EQ(engine.vertices().size(), cold.vertices().size());
+    EXPECT_EQ(engine.stats().num_arcs, cold.stats().num_arcs);
+    if (query) EXPECT_EQ(verdict, cold.Implies(*query));
+    EXPECT_EQ(engine.CountFrontierRows(), 0u);
+    if (!every_pair) return;
+    for (ExprId x : engine.vertices()) {
+      for (ExprId y : engine.vertices()) {
+        ASSERT_EQ(engine.LeqInClosure(x, y), cold.LeqInClosure(x, y))
+            << arena.ToString(x) << " <= " << arena.ToString(y);
+      }
+    }
+  };
+
+  resume(/*by_deadline=*/false, prepare);
+  matches_cold(std::nullopt, true, /*every_pair=*/false);
+  EXPECT_GE(in_round_aborts, 5u);
+  ASSERT_FALSE(HasFailure());
+  const std::size_t cold_aborts = in_round_aborts;
+
+  Rng rng(2323);
+  int top = kChain - 1;
+  for (int op = 0; op < kOps; ++op) {
+    std::optional<Pd> query;
+    switch (op % 4) {
+      case 0:  // extend chain A by a new top
+        e.push_back(Pd::Leq(a(top), a(top + 1)));
+        ++top;
+        break;
+      case 1:  // link into chain B
+        e.push_back(Pd::Leq(a(static_cast<int>(rng.Below(top))),
+                            b(static_cast<int>(rng.Below(kChain)))));
+        break;
+      case 2: {  // an implied shortcut
+        const int i = static_cast<int>(rng.Below(top));
+        e.push_back(
+            Pd::Leq(a(i), a(i + 1 + static_cast<int>(rng.Below(top - i)))));
+        break;
+      }
+      default: {
+        auto pick_a = [&] { return a(static_cast<int>(rng.Below(top + 1))); };
+        auto pick_b = [&] { return b(static_cast<int>(rng.Below(kChain))); };
+        query = Pd::Leq(arena.Product(pick_a(), pick_a()),
+                        arena.Sum(pick_b(), pick_a()));
+      }
+    }
+    bool verdict = true;
+    if (query) {
+      verdict = resume(/*by_deadline=*/true, [&](const ExecContext& ctx) {
+        return engine.Implies(*query, ctx);
+      });
+    } else {
+      engine.AddConstraint(e.back());
+      resume(/*by_deadline=*/true, prepare);
+    }
+    matches_cold(query, verdict, /*every_pair=*/op + 1 == kOps);
+    ASSERT_FALSE(HasFailure()) << "op " << op;
+  }
+  EXPECT_GE(in_round_aborts - cold_aborts, 20u);
+}
 
 // --- soundness against lattice models ------------------------------------------
 

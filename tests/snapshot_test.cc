@@ -151,6 +151,93 @@ TEST_F(SnapshotTest, RestoredChainExtendsLikeAColdEngine) {
   }
 }
 
+// A closed or restored engine holds no frontier or tag rows, and a
+// restored engine grows as a live one does. A chain with composites in V
+// is snapshotted and restored; the restored engine then takes chain
+// extensions, implied shortcuts, queries over new composites and a
+// closure an arc budget stops before its rounds finish (that one keeps
+// its frontier until resumed). After every step it must match a cold
+// engine over the same E and V arc for arc.
+TEST_F(SnapshotTest, RestoredEngineGrowsLikeAColdEngineAndHoldsNoFrontier) {
+  constexpr int kChain = 150;
+  ExprArena arena;
+  auto attr = [&](int k) { return arena.Attr("A" + std::to_string(k)); };
+  std::vector<Pd> e;
+  for (int k = 0; k + 1 < kChain; ++k) e.push_back(Pd::Leq(attr(k), attr(k + 1)));
+  PdImplicationEngine engine(&arena, e);
+  EXPECT_TRUE(engine.Implies(Pd::Leq(arena.Product(attr(3), attr(90)),
+                                     arena.Sum(attr(40), attr(7)))));
+  EXPECT_EQ(engine.CountFrontierRows(), 0u);
+  auto bytes = EncodeSnapshot(engine, TheoryFingerprint(arena, e));
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto snap = DecodeSnapshot(*bytes, &arena);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  PdImplicationEngine restored(&arena, {});
+  ASSERT_TRUE(restored
+                  .RestoreEngineState(snap->vertices,
+                                      std::move(snap->constraints),
+                                      std::move(snap->state))
+                  .ok());
+  EXPECT_EQ(restored.CountFrontierRows(), 0u);
+
+  auto matches_cold = [&](const std::string& step) {
+    PdImplicationEngine cold(&arena, e);
+    cold.Prepare(restored.vertices());
+    ASSERT_EQ(restored.vertices().size(), cold.vertices().size()) << step;
+    EXPECT_EQ(restored.stats().num_arcs, cold.stats().num_arcs) << step;
+    EXPECT_EQ(restored.CountFrontierRows(), 0u) << step;
+    for (ExprId a : restored.vertices()) {
+      for (ExprId b : restored.vertices()) {
+        ASSERT_EQ(restored.LeqInClosure(a, b), cold.LeqInClosure(a, b))
+            << step << ": " << arena.ToString(a) << " <= " << arena.ToString(b);
+      }
+    }
+  };
+  auto write = [&](const Pd& pd) {
+    e.push_back(pd);
+    restored.AddConstraint(pd);
+  };
+
+  Rng rng(4242);
+  int top = kChain - 1;
+  for (int stage = 0; stage < 4; ++stage) {
+    write(Pd::Leq(attr(top), attr(top + 1)));
+    ++top;
+    restored.Prepare({});
+    matches_cold("extension " + std::to_string(stage));
+
+    const int i = static_cast<int>(rng.Below(top));
+    write(Pd::Leq(attr(i), attr(i + 1 + static_cast<int>(rng.Below(top - i)))));
+    restored.Prepare({});
+    matches_cold("shortcut " + std::to_string(stage));
+
+    auto pick = [&] { return attr(static_cast<int>(rng.Below(top + 1))); };
+    const Pd query = Pd::Leq(arena.Product(pick(), pick()),
+                             arena.Sum(pick(), pick()));
+    const bool verdict = restored.Implies(query);
+    PdImplicationEngine cold(&arena, e);
+    EXPECT_EQ(verdict, cold.Implies(query)) << arena.ToString(query);
+    matches_cold("query " + arena.ToString(query));
+
+    // Two new tops at once under a budget of one more arc: the seeds
+    // alone exceed it, so the closure stops at its first round and keeps
+    // the frontier; an unbounded Prepare then resumes it.
+    write(Pd::Leq(attr(top), attr(top + 1)));
+    write(Pd::Leq(attr(top + 1), attr(top + 2)));
+    top += 2;
+    ExecContext tight;
+    tight.WithMaxArcs(restored.stats().num_arcs + 1);
+    Status st = restored.Prepare({}, tight);
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+    EXPECT_GT(restored.CountFrontierRows(), 0u);
+    restored.Prepare({});
+    matches_cold("aborted extension " + std::to_string(stage));
+    ASSERT_FALSE(HasFailure());
+  }
+  EXPECT_EQ(restored.stats().cold_closures, 0u);
+  EXPECT_GE(restored.stats().aborted_closures, 4u);
+}
+
 TEST_F(SnapshotTest, DecodeRejectsCorruptBytes) {
   ExprArena arena;
   auto base = BaseTheory(&arena);

@@ -329,27 +329,71 @@ TEST(BitsetTest, OrWithMatchesUnionWith) {
 }
 
 TEST(BitsetTest, SpanBoundedKernelsTouchOnlyTheSpan) {
-  DynamicBitset dst(300), src(300), newly(300), tagged;
+  DynamicBitset dst(300), src(300), newly, tagged;
   src.Set(70);
   src.Set(130);
   dst.Set(130);
-  EXPECT_EQ(src.WordSpan(), (std::pair<std::size_t, std::size_t>{1, 3}));
-  EXPECT_EQ(DynamicBitset(300).WordSpan(),
-            (std::pair<std::size_t, std::size_t>{0, 0}));
   // A span that misses the source's bits adds nothing and materializes
   // nothing.
-  EXPECT_EQ(dst.OrInPlaceCountNew(src, 3, 5, &newly, &tagged), 0u);
+  WordRange fresh;
+  EXPECT_EQ(dst.OrInPlaceCountNew(src, 3, 5, &newly, &tagged, &fresh), 0u);
+  EXPECT_EQ(newly.size(), 0u);
   EXPECT_EQ(tagged.size(), 0u);
-  // The occupied span adds exactly the fresh bit, into both outputs.
-  EXPECT_EQ(dst.OrInPlaceCountNew(src, 1, 3, &newly, &tagged), 1u);
+  EXPECT_TRUE(fresh.empty());
+  // The occupied span adds exactly the fresh bit, into both outputs, and
+  // reports the one word it wrote.
+  EXPECT_EQ(dst.OrInPlaceCountNew(src, 1, 3, &newly, &tagged, &fresh), 1u);
+  EXPECT_EQ(newly.size(), 300u);
   EXPECT_EQ(tagged.size(), 300u);
   EXPECT_TRUE(dst.Test(70) && dst.Test(130));
   EXPECT_EQ(newly.Count(), 1u);
   EXPECT_TRUE(newly.Test(70));
   EXPECT_EQ(tagged, newly);
-  DynamicBitset meet(300);
-  EXPECT_EQ(meet.OrAndInPlaceCountNew(src, dst, 1, 3), 2u);
+  EXPECT_EQ(fresh.first, 1u);
+  EXPECT_EQ(fresh.end, 2u);
+  DynamicBitset meet(300), meet_new;
+  EXPECT_EQ(meet.OrAndInPlaceCountNew(src, dst, 1, 3, &meet_new), 2u);
   EXPECT_EQ(meet, src);
+  EXPECT_EQ(meet_new, src);
+}
+
+TEST(BitsetTest, WordRangeKernelsStayInsideTheRange) {
+  WordRange r;
+  EXPECT_TRUE(r.empty());
+  r.Add(3);
+  r.Add(1);
+  EXPECT_EQ(r.first, 1u);
+  EXPECT_EQ(r.end, 4u);
+  r.Add(WordRange{});
+  EXPECT_EQ(r.first, 1u);
+  r.Add(WordRange{0, 2});
+  EXPECT_EQ(r.first, 0u);
+  EXPECT_EQ(r.end, 4u);
+
+  DynamicBitset a(300), b(300), out(300);
+  for (std::size_t i : {0u, 65u, 70u, 130u, 299u}) a.Set(i);
+  b.Set(70);
+  out.Set(299);  // outside the range: left alone
+  const WordRange mid{1, 3};
+  EXPECT_TRUE(out.AssignDifference(a, b, mid));
+  EXPECT_TRUE(out.Test(65) && out.Test(130) && out.Test(299));
+  EXPECT_FALSE(out.Test(0) || out.Test(70));
+  EXPECT_FALSE(out.AssignDifference(b, a, mid));
+  EXPECT_EQ(out.Count(), 1u);  // words 1..2 now hold b \ a = {}
+
+  std::vector<std::size_t> seen;
+  a.ForEach(mid, [&](std::size_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{65, 70, 130}));
+
+  DynamicBitset c(300);
+  c.OrWith(a, mid);
+  EXPECT_EQ(c.Count(), 3u);
+  EXPECT_FALSE(c.Test(0) || c.Test(299));
+  a.Clear(mid);
+  EXPECT_EQ(a.Count(), 2u);
+  EXPECT_TRUE(a.Test(0) && a.Test(299));
+  a.Clear(WordRange{});
+  EXPECT_EQ(a.Count(), 2u);
 }
 
 // The blocked transpose against a per-bit transpose, at sizes around
