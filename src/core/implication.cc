@@ -75,19 +75,11 @@ void PdImplicationEngine::AddVertices(std::span<const ExprId> exprs) {
   }
 }
 
-void PdImplicationEngine::UntagFrontier(uint32_t i) {
-  if (!tagged_rows_.Test(i)) return;
-  tag_[i] = delta_up_[i];
-  tagged_rows_.Reset(i);
-}
-
 bool PdImplicationEngine::TrySetArc(uint32_t i, uint32_t m) {
   if (up_[i].Test(m)) return false;
   up_[i].Set(m);
-  UntagFrontier(i);
   if (delta_up_[i].size() == 0) delta_up_[i] = DynamicBitset(up_[i].size());
   delta_up_[i].Set(m);
-  frontier_from_[i] = std::min<uint32_t>(frontier_from_[i], m >> 6);
   dirty_rows_.Set(i);
   ++arc_count_;
   return true;
@@ -140,8 +132,6 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
     down_.resize(n);
     tag_.resize(n);
     dirty_rows_.Resize(n);
-    tagged_rows_.Resize(n);
-    frontier_from_.resize(n, 0);
     for (std::size_t i = old_n; i < n; ++i) {
       up_[i] = DynamicBitset(n);
       down_[i] = DynamicBitset(n);
@@ -241,7 +231,6 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
     assert(delta_up_[i].size() == 0);
     assert(tag_[i].size() == 0);
   }
-  assert(tagged_rows_.None());
 #endif
   closure_valid_ = true;
   return Status::OK();
@@ -255,11 +244,9 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
 //   (c) down_[j] ∋ i exactly for the *consumed* arcs (i, j);
 //   (d) arc_count_ == |up_| (each up_ bit transition bumped it once), and
 //       arc_count_ - consumed_ == Σ|delta_up_[i]|, the pending frontier;
-//   (e) the tagged bits of row p — all of delta_up_[p] if
-//       tagged_rows_.Test(p), else tag_[p] — are a subset of delta_up_[p],
-//       and every tagged g has a witness s with (p, s) and (s, g) both
-//       consumed: the sparse backward join of row s tags what it leaves
-//       on the frontier of p ∈ down_[s].
+//   (e) tag_[p] ⊆ delta_up_[p], and every g ∈ tag_[p] has a witness s
+//       with (p, s) and (s, g) both consumed: the sparse backward join
+//       of row s tags what it leaves on the frontier of p ∈ down_[s].
 // Every consequence of a consumed arc is either derived at consumption
 // time (forward transitivity, per-arc column rules) or guaranteed to be
 // derived when a future delta is consumed (backward transitivity through
@@ -298,8 +285,6 @@ Status PdImplicationEngine::DeltaFixpointSerial(const ExecContext& ctx) {
     for (std::size_t i = 0; i < n; ++i) {
       recount += delta_up_[i].Count();
       assert(delta_up_[i].None() || dirty_rows_.Test(i));
-      assert(!tagged_rows_.Test(i) ||
-             (delta_up_[i].Any() && tag_[i].size() == 0));
     }
     assert(recount == pending);
 #endif
@@ -333,11 +318,11 @@ Status PdImplicationEngine::DeltaFixpointSerial(const ExecContext& ctx) {
 //                 span, and tags what it leaves on p's frontier;
 //   rules 3/2   — every parent of i takes S (product) or S ∩ sibling row
 //                 (sum), word-parallel over the same span.
-// The drain costs what it touches: one scan, from frontier_from_[i], finds
-// the row's lowest bit and a forward cursor finds the rest (it steps back
-// only when the row's own frontier gains bits below it), and the
-// round-local rows S, `gained`, `pushed` and `landed` are all-zero between
-// uses and cleared over the words a use wrote, never at full width.
+// The drain costs what it touches: one scan finds the row's lowest bit
+// and a forward cursor finds the rest (it steps back only when the row's
+// own frontier gains bits below it), and the round-local rows S, `gained`
+// and `pushed` are all-zero between uses and cleared over the words a use
+// wrote, never at full width.
 Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
                                         const ExecContext& ctx,
                                         std::size_t* consumed_strider) {
@@ -348,7 +333,6 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
   DynamicBitset scratch(n);
   DynamicBitset gained(n);
   DynamicBitset pushed(n);
-  DynamicBitset landed(n);
   // The occupied word span of up_[settled_row], the last settled source:
   // a row off the worklist changes only by gaining frontier bits, which
   // makes it dirty until it drains, so the span stays valid until then.
@@ -360,10 +344,7 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
   for (std::size_t w = worklist.size(); w-- > 0;) {
     const uint32_t i = worklist[w];
     DynamicBitset& delta = delta_up_[i];
-    std::size_t j =
-        delta.size() == 0 ? n : delta.NextSetBit(std::size_t{frontier_from_[i]} << 6);
-    assert(delta.size() == 0 || j == delta.NextSetBit(0));
-    frontier_from_[i] = 0;  // the row is freed below, or restored on abort
+    std::size_t j = delta.size() == 0 ? n : delta.NextSetBit(0);
     if (i == settled_row) settled_row = n;  // it is about to change
     if (j >= n) {  // nothing pending (its dirty flag outlived its bits)
       delta = DynamicBitset();
@@ -372,20 +353,12 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
     }
     WordRange drained;      // the words of S
     std::size_t taken = 0;  // |S|, counted consumed once the row drains
-    // A wholly tagged frontier skips its backward push but for the bits
-    // this visit adds, which are collected in `pushed` as they land.
-    const bool all_tagged = tagged_rows_.Test(i);
-    tagged_rows_.Reset(i);
-    DynamicBitset* added_bits = all_tagged ? &pushed : nullptr;
-    const std::size_t visit_start_arcs = arc_count_;
     while (j < n) {
       // Every frontier bit below `next` is consumed; a bit that lands
       // below it moves it back.
       std::size_t next = j + 1;
       auto add_arc = [&](uint32_t m) {
-        if (!TrySetArc(i, m)) return;
-        next = std::min<std::size_t>(next, m);
-        if (added_bits) added_bits->Set(m);
+        if (TrySetArc(i, m)) next = std::min<std::size_t>(next, m);
       };
       delta.Reset(j);
       scratch.Set(j);
@@ -412,7 +385,6 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
             arc_count_ += added;
             taken += added;
             scratch.OrWith(gained, fresh);
-            if (added_bits) added_bits->OrWith(gained, fresh);
             drained.Add(fresh);
             gained.ForEach(fresh, [&](std::size_t g) {
               down_[g].Set(i);
@@ -425,7 +397,7 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
         } else {
           WordRange fresh;
           arc_count_ += up_[i].OrInPlaceCountNew(up_[j], 0, words, &delta,
-                                                 added_bits, &fresh);
+                                                 nullptr, &fresh);
           if (!fresh.empty()) next = std::min(next, fresh.first << 6);
         }
       }
@@ -440,14 +412,8 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
           // per-arc effects are idempotent, and the row-level pushes
           // below have not run for them yet — re-consuming on resume is
           // sound and completes the round. Rows after this one keep
-          // their dirty flags (only reset after a full drain). A wholly
-          // tagged row keeps as tags exactly the bits it was tagged with.
+          // their dirty flags (only reset after a full drain).
           delta.OrWith(scratch, drained);
-          // frontier_from_[i] is 0 since the visit began.
-          if (all_tagged) {
-            tag_[i] = DynamicBitset(n);
-            tag_[i].AssignDifference(delta, pushed, WordRange{0, words});
-          }
           stats_.rules_seconds += SecondsSince(rules_start);
           return st;
         }
@@ -461,10 +427,7 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
     // turn. A tag row lives only while its row holds tagged bits.
     const DynamicBitset* push = &scratch;
     bool any_push = true;
-    if (all_tagged) {
-      any_push = arc_count_ != visit_start_arcs;
-      push = &pushed;
-    } else if (tag_[i].size() != 0) {
+    if (tag_[i].size() != 0) {
       any_push = pushed.AssignDifference(scratch, tag_[i], drained);
       push = &pushed;
       tag_[i] = DynamicBitset();
@@ -473,35 +436,17 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
       for (std::size_t p = down_[i].NextSetBit(0); p < n;
            p = down_[i].NextSetBit(p + 1)) {
         if (p == i) continue;
-        // Most pushes add nothing, so the new bits land in `landed`
-        // first and reach p's frontier and tags only when there are some.
-        // A frontier this push starts is tagged whole; one that exists
-        // keeps its tags in tag_[p] unless it is wholly tagged already.
         std::size_t added = up_[p].OrInPlaceCountNew(
-            *push, drained.first, drained.end, &landed);
-        if (!added) continue;
-        arc_count_ += added;
-        dirty_rows_.Set(static_cast<uint32_t>(p));
-        DynamicBitset& frontier = delta_up_[p];
-        if (frontier.size() == 0) {
-          frontier = DynamicBitset(n);
-          tagged_rows_.Set(static_cast<uint32_t>(p));
-          frontier_from_[p] = static_cast<uint32_t>(drained.first);
-        } else {
-          if (!tagged_rows_.Test(p)) {
-            if (tag_[p].size() == 0) tag_[p] = DynamicBitset(n);
-            tag_[p].OrWith(landed, drained);
-          }
-          frontier_from_[p] = std::min<uint32_t>(frontier_from_[p], drained.first);
+            *push, drained.first, drained.end, &delta_up_[p], &tag_[p]);
+        if (added) {
+          arc_count_ += added;
+          dirty_rows_.Set(static_cast<uint32_t>(p));
         }
-        frontier.OrWith(landed, drained);
-        landed.Clear(drained);
       }
     }
     if (push == &pushed) pushed.Clear(drained);
     // Rules 3/2: parents absorb the drained bits, untagged.
     for (const auto& [m, o] : parents_[i]) {
-      UntagFrontier(m);
       std::size_t added =
           kind_[m] == ExprKind::kProduct
               ? up_[m].OrInPlaceCountNew(scratch, drained.first, drained.end,
@@ -511,7 +456,6 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
       if (added) {
         arc_count_ += added;
         dirty_rows_.Set(m);
-        frontier_from_[m] = std::min<uint32_t>(frontier_from_[m], drained.first);
       }
     }
     scratch.Clear(drained);
@@ -545,17 +489,12 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
     carry[i] = std::exchange(delta_up_[i], DynamicBitset());
     // A dense round pushes every carried bit backward, so tags are moot.
     tag_[i] = DynamicBitset();
-    tagged_rows_.Reset(i);
-    frontier_from_[i] = 0;
     const std::size_t bits = carry[i].Count();
     frozen += bits;
     if (bits != 0) carry_mask.Set(i);
     dirty_rows_.Reset(i);
   }
   consumed_ += frozen;
-  // Every tagged row is dirty, so none is left: the untagged pushes below
-  // need no UntagFrontier.
-  assert(tagged_rows_.None());
   auto restore = [&] {
     for (uint32_t i : worklist) {
       if (delta_up_[i].size() == 0) {
@@ -818,8 +757,6 @@ Status PdImplicationEngine::RestoreEngineState(
   consumed_ = arc_count_;
   delta_up_.assign(n, DynamicBitset());
   dirty_rows_ = DynamicBitset(n);
-  tagged_rows_ = DynamicBitset(n);
-  frontier_from_.assign(n, 0);
   tag_.assign(n, DynamicBitset());
   down_.assign(n, DynamicBitset(n));
   DynamicBitset::OrTransposeInto(up_, &down_);

@@ -270,9 +270,6 @@ class PdImplicationEngine {
   // unconsumed in delta_up_ (materializing the row), and bumps the exact
   // arc counter. Returns true iff the arc is new.
   bool TrySetArc(uint32_t i, uint32_t m);
-  // Before an untagged bit lands on row i: a wholly tagged frontier moves
-  // its tags into tag_[i], so the new bit is not taken for a tagged one.
-  void UntagFrontier(uint32_t i);
 
   // The one place a query verdict is read: the bit tests of `query` when
   // the closure is closed and both sides are in V, nullopt otherwise.
@@ -317,23 +314,14 @@ class PdImplicationEngine {
   // it is freed when the row drains (or is frozen into a dense carry), so
   // a closed engine holds none and growing V widens only live ones.
   std::vector<DynamicBitset> delta_up_;
-  // Where a drain's one scan of delta_up_[i] starts: a word index at or
-  // below the row's lowest frontier bit. A backward push that starts a
-  // frontier sets it to the push's first word, every other insertion
-  // lowers it to its own, and it is 0 for a row that holds no storage.
-  std::vector<uint32_t> frontier_from_;
   DynamicBitset dirty_rows_;
   // Frontier bits that need no backward push (invariant (e) in
   // DeltaFixpointSerial): bits row p took from the sparse round's
-  // backward join of some row s it had consumed an arc to. When that
-  // join starts row p's frontier, the whole frontier is tagged and
-  // tagged_rows_ flags p instead of a tag row; an untagged bit landing on
-  // it later moves the tags into tag_[p] (UntagFrontier). Otherwise
-  // tag_[p] has width 0 (no storage) unless row p holds such bits, is
-  // always a subset of delta_up_[p], and is freed when row p drains, so a
-  // closed engine holds no tag rows and flags none.
+  // backward join of some row s it had consumed an arc to. tag_[p] has
+  // width 0 (no storage) unless row p holds such bits, is always a subset
+  // of delta_up_[p], and is freed when row p drains, so a closed engine
+  // holds no tag rows.
   std::vector<DynamicBitset> tag_;
-  DynamicBitset tagged_rows_;
   // Exact running arc count: bumped once per up_ bit transition by the
   // OrInPlaceCountNew kernels and TrySetArc; replaces the per-pass
   // full-matrix count scans. Stays exact across aborted closures.

@@ -333,6 +333,10 @@ TEST(BitsetTest, SpanBoundedKernelsTouchOnlyTheSpan) {
   src.Set(70);
   src.Set(130);
   dst.Set(130);
+  EXPECT_EQ(src.OccupiedWords().first, 1u);
+  EXPECT_EQ(src.OccupiedWords().end, 3u);
+  EXPECT_TRUE(DynamicBitset(300).OccupiedWords().empty());
+  EXPECT_TRUE(DynamicBitset().OccupiedWords().empty());
   // A span that misses the source's bits adds nothing and materializes
   // nothing.
   WordRange fresh;
